@@ -8,6 +8,9 @@ equality. Threshold checks against pi/3, pi/2, 2pi/3, pi reduce to rational
 comparisons; the general mixed-kind order falls back to interval refinement
 with Machin pi bounds and Taylor cosine bounds, which terminates because a
 non-normalized rational cosine never equals a rational multiple of pi.
+The constructor enforces the range and the normalization, and the
+refinement is capped: operands too close to separate within the cap
+raise PrecisionExhausted instead of looping on.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .errors import InvalidEntry
+from .errors import InvalidEntry, PrecisionExhausted
 
 # rational multiple of pi <-> rational cosine, the only overlaps in (0, pi]
 _COS_TO_PI = {
@@ -30,6 +33,10 @@ _COS_TO_PI = {
 }
 _PI_TO_COS = {v: k for k, v in _COS_TO_PI.items()}
 
+# cap on the series terms of a mixed-kind comparison (doubled from 6); 48
+# terms separate angles about 1e-68 apart, and 96 would take seconds
+_MAX_TERMS = 48
+
 
 @dataclass(frozen=True, order=False)
 class Angle:
@@ -38,22 +45,31 @@ class Angle:
     kind: str
     value: Fraction
 
+    def __post_init__(self):
+        if self.kind not in ("pi", "cos"):
+            raise InvalidEntry(f"angle kind must be 'pi' or 'cos', got {self.kind!r}")
+        if not isinstance(self.value, (int, Fraction)):
+            raise InvalidEntry(f"angle value must be rational, got {self.value!r}")
+        value = Fraction(self.value)
+        if self.kind == "pi":
+            if not 0 < value <= 1:
+                raise InvalidEntry(f"{value}·pi is outside (0, pi]")
+        else:
+            if not -1 <= value < 1:
+                raise InvalidEntry(f"cosine {value} does not give an angle in (0, pi]")
+            pi_frac = _COS_TO_PI.get(value)
+            if pi_frac is not None:
+                object.__setattr__(self, "kind", "pi")
+                value = pi_frac
+        object.__setattr__(self, "value", value)
+
     @staticmethod
     def rational_pi(p: int, q: int) -> "Angle":
-        frac = Fraction(p, q)
-        if not 0 < frac <= 1:
-            raise InvalidEntry(f"{p}/{q}·pi is outside (0, pi]")
-        return Angle("pi", frac)
+        return Angle("pi", Fraction(p, q))
 
     @staticmethod
     def exact_cos(c) -> "Angle":
-        c = Fraction(c)
-        if not -1 <= c < 1:
-            raise InvalidEntry(f"cosine {c} does not give an angle in (0, pi]")
-        pi_frac = _COS_TO_PI.get(c)
-        if pi_frac is not None:
-            return Angle("pi", pi_frac)
-        return Angle("cos", c)
+        return Angle("cos", Fraction(c))
 
     @property
     def cos_exact(self) -> Optional[Fraction]:
@@ -164,7 +180,7 @@ def _compare(a: Angle, b: Angle) -> int:
         return -1 if special > b.value else 1
     c = b.value
     terms = 6
-    while True:
+    while terms <= _MAX_TERMS:
         lo, hi = _cos_of_pi_multiple(a.value, terms)
         if c < lo:
             return -1
@@ -172,6 +188,9 @@ def _compare(a: Angle, b: Angle) -> int:
             return 1
         # equality is impossible here (the overlap cases were normalized away)
         terms *= 2
+    raise PrecisionExhausted(
+        f"cannot order {a} and {b} within {_MAX_TERMS} series terms"
+    )
 
 
 class Verdict(enum.Enum):

@@ -132,7 +132,10 @@ def _cmd_angle(ns) -> tuple[str, int]:
 def _cmd_min_angle(ns) -> tuple[str, int]:
     doc = _load_doc(ns)
     t = doc.tits
-    a, achieved = tits_mod.minimal_angle_report(t)
+    if doc.validated:
+        a, achieved = tits_mod._report_valid(t)
+    else:
+        a, achieved = tits_mod.minimal_angle_report(t)
     verdict = tits_mod.verdict_against_pi_over_3(a)
     angle_s, cos_s, rad_s = _angle_cells(a)
     achieved_s = " ".join("{" + ",".join(map(str, orb)) + "}" for orb in achieved)
@@ -228,7 +231,7 @@ def _cmd_enumerate(ns) -> tuple[str, int]:
     entries = []
     for t, a, v in results:
         aniso = sorted(t.anisotropic)
-        rel = tits_mod.relative_rank(t)
+        rel = len(tits_mod.isotropic_orbits(t))
         angle_s, cos_s, rad_s = _angle_cells(a)
         rows.append(
             [" ".join(map(str, aniso)) or "-", str(rel), angle_s, cos_s, rad_s, v.code]

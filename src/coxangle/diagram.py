@@ -93,7 +93,7 @@ class Permutation:
                 out[x] = cyc[(k + 1) % len(cyc)]
         return Permutation.from_dict(out)
 
-    @property
+    @cached_property
     def _map(self) -> dict[int, int]:
         return dict(self.mapping)
 

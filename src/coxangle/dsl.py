@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from . import diagram as diag
 from . import tits as tits_mod
@@ -27,7 +27,11 @@ from .diagram import AutGroup, CoxeterDiagram, Permutation
 from .errors import CoxangleError, InvalidTitsDiagram, ParseError
 from .tits import TitsDiagram
 
-Payload = Union[TitsDiagram, CoxeterDiagram]
+if TYPE_CHECKING:
+    # annotation only: a runtime typing.Union would sit in typing's cache
+    # and keep every re-imported copy of these classes (and their modules)
+    # alive
+    Payload = Union[TitsDiagram, CoxeterDiagram]
 
 _CYCLE = re.compile(r"\(([^()]*)\)")
 
@@ -38,6 +42,8 @@ class SpecDocument:
     payload: Payload
     filename: Optional[str] = None
     spans: dict[str, tuple[int, int]] = field(default_factory=dict)
+    # set when parse_spec has validated the Tits payload
+    validated: bool = False
 
     @property
     def diagram(self) -> CoxeterDiagram:
@@ -77,11 +83,20 @@ def _parse_cycles(rest: str, line_no: int, line: str) -> list[tuple[int, ...]]:
             line.index(bad) + 1,
         )
     cycles = []
-    for m in _CYCLE.finditer(rest):
+    seen: set[int] = set()
+    paren_cols = [k + 1 for k, ch in enumerate(line) if ch == "("]
+    for m, col in zip(_CYCLE.finditer(rest), paren_cols):
         inner = m.group(1).split()
         if not inner:
             raise ParseError("empty cycle in gamma clause", line_no, line.index("(") + 1)
-        cycles.append(tuple(_ints(inner, line_no, line, "gamma")))
+        cycle = tuple(_ints(inner, line_no, line, "gamma"))
+        for x in cycle:
+            if x in seen:
+                raise ParseError(
+                    f"gamma expects disjoint cycles, {x} occurs twice", line_no, col
+                )
+            seen.add(x)
+        cycles.append(cycle)
     if not cycles:
         raise ParseError("gamma clause has no cycles", line_no)
     return cycles
@@ -208,7 +223,7 @@ def parse_spec(
         report = tits_mod.validate(payload)
         if not report.ok:
             raise InvalidTitsDiagram(report.violations)
-    return SpecDocument(text, payload, filename, spans)
+    return SpecDocument(text, payload, filename, spans, validated=require_valid)
 
 
 def render(payload: Payload) -> str:

@@ -1,6 +1,14 @@
 """Tits diagrams (M, Gamma, A): validity, relative rank, rank-one
 subdiagrams, angular distance, minimal angle, and the pi/3 trichotomy.
 
+A request validates its diagram once. The public entry points
+(minimal_angle_report, rank_one_subdiagrams, relative_rank, and
+fold.fold_tits) check their input; the internal paths behind them
+(_report_valid, _rank_one_subdiagrams) take a diagram that is already
+valid, so enumerate_indices and the CLI do not validate it again. A
+trivial Gamma is never folded on the angle path, and enumerate_indices
+folds (M, Gamma) once for all of its kernels.
+
 The angular distance at a node only depends on its connected component (the
 Weyl group acts componentwise and the fundamental weight lies in the
 component's root span), so everything reduces to a classified component and
@@ -19,7 +27,7 @@ from typing import Iterable, Optional
 from . import diagram as diag
 from . import geometry as geom
 from . import weyl
-from .fold import fold_tits
+from .fold import FoldResult, fold
 from .angle import PI, Angle, Verdict, verdict_against_pi_over_3
 from .diagram import AutGroup, CoxeterDiagram
 from .errors import (
@@ -152,6 +160,11 @@ def rank_one_subdiagrams(t: TitsDiagram) -> list[TitsDiagram]:
     ensure_valid(t)
     if not t.gamma.is_trivial:
         raise NontrivialGamma("rank-one extraction needs a trivial symmetry group")
+    return _rank_one_subdiagrams(t)
+
+
+def _rank_one_subdiagrams(t: TitsDiagram) -> list[TitsDiagram]:
+    """rank_one_subdiagrams without its checks: t is valid, gamma is ignored."""
     out = []
     for i in t.isotropic:
         sub = diag.restrict(t.diagram, t.anisotropic.union((i,)))
@@ -215,11 +228,31 @@ def angular_distance(d: CoxeterDiagram, i: int) -> Angle:
 
 def minimal_angle_report(t: TitsDiagram) -> tuple[Angle, list[tuple[int, ...]]]:
     """Minimal angle plus the isotropic orbits achieving it (tie diagnostics)."""
-    result, folded_a = fold_tits(t)
-    folded = TitsDiagram(
-        result.folded, AutGroup.trivial(result.folded.nodes), folded_a
-    )
-    subs = rank_one_subdiagrams(folded)
+    ensure_valid(t)
+    return _report_valid(t)
+
+
+def _report_valid(
+    t: TitsDiagram, folding: Optional[FoldResult] = None
+) -> tuple[Angle, list[tuple[int, ...]]]:
+    """minimal_angle_report of an already valid t.
+
+    folding is the fold of (M, Gamma) when the caller holds it; otherwise a
+    nontrivial Gamma is folded here. A trivial Gamma is not folded at all:
+    its fold is M itself.
+    """
+    if folding is None and not t.gamma.is_trivial:
+        folding = fold(t.diagram, t.gamma)
+    if folding is None:
+        folded, node_map = t, {i: i for i in t.diagram.nodes}
+    else:
+        node_map = folding.node_map
+        folded = TitsDiagram(
+            folding.folded,
+            AutGroup.trivial(folding.folded.nodes),
+            frozenset(node_map[a] for a in t.anisotropic),
+        )
+    subs = _rank_one_subdiagrams(folded)
     if not subs:
         raise ZeroRelativeRank(
             "every node is anisotropic; the minimal angle is undefined"
@@ -229,7 +262,7 @@ def minimal_angle_report(t: TitsDiagram) -> tuple[Angle, list[tuple[int, ...]]]:
     for sub in subs:
         (node,) = set(sub.diagram.nodes) - sub.anisotropic
         angle = angular_distance(sub.diagram, node)
-        orbit = tuple(sorted(o for o, f in result.node_map.items() if f == node))
+        orbit = tuple(sorted(o for o, f in node_map.items() if f == node))
         if best is None or angle < best:
             best, achieving = angle, [orbit]
         elif angle == best:
@@ -256,9 +289,14 @@ def enumerate_indices(
     Validity here is the combinatorial condition only; no claim is made that
     an algebraic group with that index exists over some field. Deterministic
     order: sorted A, lexicographically.
+
+    Each candidate is validated once. The fold of (d, g) does not depend on
+    A, so it is computed on the first valid kernel and shared by the rest;
+    it stays lazy so that a diagram with no valid kernel is never folded.
     """
     diag.check_automorphisms(d, g)
     orbits = diag.orbits(d, g)
+    folding: Optional[FoldResult] = None
     results = []
     for take in range(len(orbits)):
         if rel_rank is not None and len(orbits) - take != rel_rank:
@@ -268,7 +306,9 @@ def enumerate_indices(
             t = TitsDiagram(d, g, kernel)
             if not validate(t).ok:
                 continue
-            angle = minimal_angle(t)
+            if folding is None and not g.is_trivial:
+                folding = fold(d, g)
+            angle = _report_valid(t, folding)[0]
             results.append((t, angle, verdict_against_pi_over_3(angle)))
     results.sort(key=lambda row: tuple(sorted(row[0].anisotropic)))
     return results

@@ -1,6 +1,9 @@
 """Weyl-group computations on a realization: orbit enumeration, group order,
 longest elements, the opposition involution, and element orders.
 
+The opposition involution is read from the component-type table, not
+from a realization; only folding builds longest elements.
+
 Orbit enumeration is the only hot path. Orbit vectors are scaled to integer
 tuples (weights always admit a common denominator) so the BFS runs on plain
 int arithmetic with set-of-tuples deduplication; a Fraction fallback covers
@@ -303,37 +306,37 @@ def element_order(g: OrthogonalElement, cap: int = 1000) -> int:
     raise OrderBudgetExceeded(f"element order exceeds the cap of {cap}")
 
 
-def _component_opposition(ct: diag.ComponentType, comp: CoxeterDiagram) -> dict[int, int]:
-    if ct.family == "I2":
-        a, b = comp.nodes
-        if ct.m % 2 == 0:
-            return {a: a, b: b}
-        return {a: b, b: a}
-    if ct.family == "H":
-        # -1 lies in W(H_3) and W(H_4), so w_0 acts as -id and sigma is trivial
-        return {i: i for i in comp.nodes}
-    r = geom.realize(comp)
-    w0 = longest_element(r)
-    out = {}
-    negated = {geom.vscale(Fraction(-1), a): i for i, a in r.simple_roots.items()}
-    for i, alpha in r.simple_roots.items():
-        image = w0.apply(alpha)
-        try:
-            out[i] = negated[image]
-        except KeyError:
-            raise AssertionError("w_0 did not permute the negated simple roots") from None
-    return out
+def _component_opposition(ct: diag.ComponentType) -> dict[int, int]:
+    """sigma on one component, read from its type in canonical positions.
+
+    A_n reverses the path, D_n with n odd swaps the fork, E_6 is
+    (1 6)(3 5), I_2(m) with m odd swaps its two nodes; every other type
+    (B, C, D_n with n even, E_7, E_8, F_4, G_2, H, even I_2) has w_0 = -1
+    and sigma is the identity (Bourbaki, Lie Groups ch. VI, plates I-IX).
+    """
+    n = ct.rank
+    if ct.family == "A" or (ct.family == "I2" and ct.m % 2):
+        positions = {k: n + 1 - k for k in range(1, n + 1)}
+    elif ct.family == "D" and n % 2:
+        positions = {n - 1: n, n: n - 1}
+    elif ct.family == "E" and n == 6:
+        positions = {1: 6, 6: 1, 3: 5, 5: 3}
+    else:
+        positions = {}
+    label_at = ct.label_at
+    return {
+        lab: label_at[positions.get(pos, pos)] for lab, pos in ct.canonical
+    }
 
 
 def opposition(d: CoxeterDiagram) -> Permutation:
     """The involution sigma with w_0(alpha_i) = -alpha_sigma(i), componentwise.
 
-    Crystallographic components read sigma off the realized longest element;
-    I_2(m) uses the parity rule (identity for even m, the swap for odd m) and
-    H types are identity, no realization needed.
+    sigma depends only on the component type, so it is read from the type
+    table (see _component_opposition); nothing is realized. The test suite
+    checks the table against the realized longest element.
     """
     mapping: dict[int, int] = {}
-    for comp in diag.connected_components(d):
-        ct = diag._classify_component(comp)
-        mapping.update(_component_opposition(ct, comp))
+    for ct in diag.classify(d):
+        mapping.update(_component_opposition(ct))
     return Permutation.from_dict(mapping)

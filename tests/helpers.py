@@ -64,6 +64,39 @@ def brute_opposition(r: geom.Realization) -> dict[int, int]:
     return out
 
 
+def realized_opposition(d: CoxeterDiagram) -> dict[int, int]:
+    """sigma by realizing each component and building w_0 by greedy descent.
+
+    I_2(m) components use the dihedral oracle below; H components have
+    w_0 = -1 (it lies in W(H_3) and W(H_4)), so sigma is the identity there.
+    """
+    out: dict[int, int] = {}
+    for comp in diag.connected_components(d):
+        ct = diag.classify(comp)[0]
+        if ct.family == "I2":
+            a, b = comp.nodes
+            swapped = dihedral_opposition(ct.m)
+            out.update({a: b, b: a} if swapped else {a: a, b: b})
+            continue
+        if ct.family == "H":
+            out.update({i: i for i in comp.nodes})
+            continue
+        r = geom.realize(comp)
+        w0 = weyl.longest_element(r)
+        negated = {geom.vscale(Fraction(-1), a): i for i, a in r.simple_roots.items()}
+        for i, alpha in r.simple_roots.items():
+            out[i] = negated[w0.apply(alpha)]
+    return out
+
+
+def relabeled(d: CoxeterDiagram, rng) -> CoxeterDiagram:
+    """d under a random injective relabelling into 1..100."""
+    labels = dict(zip(d.nodes, rng.sample(range(1, 101), d.rank)))
+    return diag.new_diagram(
+        labels.values(), [(labels[i], labels[j], m) for i, j, m in d.edges]
+    )
+
+
 def dihedral_opposition(m: int) -> bool:
     """True if the I_2(m) opposition swaps the two nodes.
 

@@ -14,7 +14,7 @@ from coxangle.angle import (
     Verdict,
     verdict_against_pi_over_3,
 )
-from coxangle.errors import InvalidEntry
+from coxangle.errors import CoxangleError, InvalidEntry, PrecisionExhausted
 
 
 class TestCanonicalization:
@@ -49,6 +49,52 @@ class TestCanonicalization:
         assert Angle.rational_pi(2, 3).cos_exact == Fraction(-1, 2)
         assert Angle.rational_pi(2, 5).cos_exact is None
         assert Angle.exact_cos(Fraction(1, 3)).cos_exact == Fraction(1, 3)
+
+
+class TestConstructorInvariants:
+    @pytest.mark.parametrize(
+        "kind,value",
+        [
+            ("pi", Fraction(7, 3)),
+            ("pi", Fraction(0)),
+            ("pi", Fraction(-1, 2)),
+            ("cos", Fraction(1)),
+            ("cos", Fraction(-3, 2)),
+            ("deg", Fraction(1, 2)),
+            ("pi", 0.5),
+            ("cos", "1/3"),
+        ],
+    )
+    def test_rejects_invalid(self, kind, value):
+        with pytest.raises(InvalidEntry):
+            Angle(kind, value)
+
+    def test_special_cosines_normalized_by_constructor(self):
+        assert Angle("cos", Fraction(1, 2)) == PI_OVER_3
+        assert Angle("cos", Fraction(0)) == PI_OVER_2
+        assert Angle("cos", -1) == PI
+        assert Angle("pi", 1) == PI and isinstance(Angle("pi", 1).value, Fraction)
+
+    def test_out_of_range_comparison_no_longer_hangs(self):
+        # 7/3·pi has cosine exactly 1/2; it used to loop forever against
+        # arccos(1/2) built without normalization
+        with pytest.raises(InvalidEntry):
+            Angle("pi", Fraction(7, 3)) < Angle("cos", Fraction(1, 2))
+
+    def test_refinement_is_capped(self):
+        # a cosine within 1e-120 of cos(pi/5) = (1 + sqrt 5)/4 cannot be
+        # separated from pi/5 within the series cap
+        scale = 10**120
+        c = Fraction(scale + math.isqrt(5 * scale * scale), 4 * scale)
+        with pytest.raises(PrecisionExhausted) as exc:
+            Angle.rational_pi(1, 5) < Angle.exact_cos(c)
+        assert isinstance(exc.value, CoxangleError)
+
+    def test_close_but_separable_still_ordered(self):
+        scale = 10**30
+        c = Fraction(scale + math.isqrt(5 * scale * scale), 4 * scale)
+        # isqrt rounds down, so c < cos(pi/5) and arccos(c) > pi/5
+        assert Angle.rational_pi(1, 5) < Angle.exact_cos(c)
 
 
 class TestOrdering:

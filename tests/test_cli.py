@@ -284,3 +284,71 @@ class TestErrorPaths:
     def test_no_diagram_and_no_file(self, invoke):
         code, _, err = invoke("min-angle")
         assert code == EXIT_DOMAIN
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Count calls of tits.validate and of fold.fold made from tits."""
+    calls = {"validate": 0, "fold": 0}
+
+    def wrap(name, fn):
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(tits_mod, name, counting)
+
+    wrap("validate", tits_mod.validate)
+    wrap("fold", tits_mod.fold)
+    return calls
+
+
+class TestWorkOncePerRequest:
+    def test_enumerate_builtin_validates_each_candidate_once(self, invoke, counted):
+        code, out, _ = invoke("enumerate", "--diagram", "A3", "--format", "json")
+        assert code == EXIT_OK and len(json.loads(out)["entries"]) == 2
+        # 2^3 - 1 candidate kernels (A = I excluded), trivial gamma never folded
+        assert counted == {"validate": 7, "fold": 0}
+
+    def test_enumerate_spec_adds_one_validation_and_folds_once(
+        self, invoke, counted, tmp_path
+    ):
+        path = write(tmp_path, "diagram D5\ngamma (4 5)\n")
+        code, out, _ = invoke("enumerate", path, "--format", "json")
+        assert code == EXIT_OK and len(json.loads(out)["entries"]) > 1
+        # four orbits: 15 candidates, plus the spec's own validation
+        assert counted == {"validate": 16, "fold": 1}
+
+    def test_enumerate_with_no_valid_kernel_never_folds(self, invoke, counted, tmp_path):
+        # two swapped I2(5): the rank-one kernels {1, 3} and {2, 4} both break
+        # the opposition clause, so nothing is folded, and the fold that would
+        # raise NonCrystallographic is never attempted
+        path = write(tmp_path, "diagram I2(5)+I2(5)\ngamma (1 3)(2 4)\n")
+        code, out, _ = invoke("enumerate", path, "--rel-rank", "1", "--format", "json")
+        assert code == EXIT_OK
+        assert json.loads(out)["entries"] == []
+        assert counted["fold"] == 0
+        code, _, err = invoke("enumerate", path, "--format", "json")
+        assert code == EXIT_DOMAIN
+        assert json.loads(err)["error"]["code"] == "NonCrystallographic"
+
+    @pytest.mark.parametrize(
+        "text", [A7_SPEC, A5_FOLDED_SPEC, "diagram E6\n", "diagram D4\ngamma (1 3 4)\n"]
+    )
+    def test_min_angle_spec_validates_once(self, invoke, counted, tmp_path, text):
+        code, _, _ = invoke("min-angle", write(tmp_path, text), "--format", "json")
+        assert code == EXIT_OK
+        assert counted["validate"] == 1
+        assert counted["fold"] == (1 if "gamma" in text else 0)
+
+    def test_min_angle_builtin_validates_once(self, invoke, counted):
+        code, _, _ = invoke("min-angle", "--diagram", "E7", "--format", "json")
+        assert code == EXIT_OK
+        assert counted == {"validate": 1, "fold": 0}
+
+    def test_min_angle_invalid_spec_still_rejected(self, invoke, counted, tmp_path):
+        code, _, err = invoke("min-angle", write(tmp_path, BAD_OPPOSITION_SPEC),
+                              "--format", "json")
+        assert code == EXIT_DOMAIN
+        assert json.loads(err)["error"]["code"] == "InvalidTitsDiagram"
+        assert counted["validate"] == 1

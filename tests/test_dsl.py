@@ -88,6 +88,8 @@ class TestErrors:
             ("diagram custom\nnodes 1 2\nedge 1 2\n", 3, "edge expects"),
             ("diagram A5\ngamma (1 2\n", 2, "cycles in parentheses"),
             ("diagram A5\ngamma (1 9)\n", 2, "not in domain"),
+            ("diagram A5\ngamma (1 1)\n", 2, "1 occurs twice"),
+            ("diagram A5\ngamma (1 3)(3 1)\n", 2, "3 occurs twice"),
             ("diagram A5\nanisotropic x\n", 2, "expects integers"),
             ("diagram A5\nanisotropic 9\n", 2, ""),
             ("", 1, "empty specification"),
@@ -104,6 +106,12 @@ class TestErrors:
             parse_spec("diagram A5\nanisotropic 1 x\n")
         assert exc.value.line == 2
         assert exc.value.col == "diagram A5\nanisotropic 1 x\n".splitlines()[1].index("x") + 1
+
+    def test_overlapping_cycle_column(self):
+        text = "diagram A5\ngamma (1 5)  (2 4)(4 2)\n"
+        with pytest.raises(ParseError) as exc:
+            parse_spec(text, require_valid=False)
+        assert exc.value.col == text.splitlines()[1].rindex("(") + 1
 
     def test_validation_failure_raises_invalid(self):
         with pytest.raises(InvalidTitsDiagram):

@@ -23,6 +23,7 @@ from coxangle.errors import (
     UnknownNode,
     ZeroRelativeRank,
 )
+from coxangle.fold import fold_tits
 from coxangle.geometry import dot, realize
 from coxangle.tits import (
     TitsDiagram,
@@ -471,3 +472,30 @@ def test_quasi_split_law_over_subgroups(name):
         t = TitsDiagram(d, g, frozenset())
         assert validate(t).ok
         assert minimal_angle(t) == PI
+
+
+class TestPublicEntryPointsStillCheck:
+    """The unchecked internal paths do not weaken the public functions."""
+
+    INVALID = [
+        ("A3", None, (2, 3)),  # opposition-violated
+        ("A5", [(1, 5), (2, 4)], (1,)),  # A-not-invariant
+    ]
+
+    @pytest.mark.parametrize("name,cycles,aniso", INVALID)
+    @pytest.mark.parametrize(
+        "entry",
+        [minimal_angle_report, rank_one_subdiagrams, fold_tits, relative_rank],
+        ids=lambda f: f.__name__,
+    )
+    def test_raises_invalid(self, entry, name, cycles, aniso):
+        with pytest.raises(InvalidTitsDiagram):
+            entry(helpers.tits(name, cycles, aniso))
+
+    def test_non_automorphism_gamma(self):
+        d = builtin("A3")
+        p = Permutation.from_cycles([(1, 2)], d.nodes)
+        t = TitsDiagram(d, AutGroup(d.nodes, (p,)), frozenset())
+        for entry in (minimal_angle_report, rank_one_subdiagrams, fold_tits, relative_rank):
+            with pytest.raises(InvalidTitsDiagram):
+                entry(t)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -234,6 +235,17 @@ OPPOSITIONS = {
 }
 
 
+# every crystallographic builtin of rank <= 8, C_n included
+FULL_RANK_TYPES = (
+    [f"A{n}" for n in range(1, 9)]
+    + [f"B{n}" for n in range(2, 9)]
+    + [f"C{n}" for n in range(3, 9)]
+    + [f"D{n}" for n in range(4, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+REDUCIBLE_SUMS = ["A2+A3", "D5+E6", "A1+A1+B3", "I2(5)+A3", "H3+D5"]
+
+
 class TestOpposition:
     @pytest.mark.parametrize("name,cyc", sorted(OPPOSITIONS.items()))
     def test_table(self, name, cyc):
@@ -245,6 +257,16 @@ class TestOpposition:
         got = opposition(d)
         want = helpers.brute_opposition(realize(d))
         assert {i: got(i) for i in d.nodes} == want
+
+    @pytest.mark.parametrize("name", FULL_RANK_TYPES + REDUCIBLE_SUMS)
+    def test_table_matches_realized_w0(self, name):
+        rng = random.Random(name)
+        d = builtin(name)
+        for labelled in (d, helpers.relabeled(d, rng), helpers.relabeled(d, rng)):
+            got = opposition(labelled)
+            assert {i: got(i) for i in labelled.nodes} == helpers.realized_opposition(
+                labelled
+            )
 
     @pytest.mark.parametrize("m", range(3, 13))
     def test_matches_dihedral_oracle(self, m):
