@@ -80,7 +80,10 @@ def _load_doc(ns) -> dsl.SpecDocument:
             text = fh.read()
     except OSError as exc:
         raise CoxangleError(f"cannot read {spec_path}: {exc.strerror}") from exc
-    return dsl.parse_spec(text, filename=spec_path, require_valid=ns.command != "validate")
+    # min-angle validates in minimal_angle_report, so the parse does not
+    return dsl.parse_spec(
+        text, filename=spec_path, require_valid=ns.command not in ("validate", "min-angle")
+    )
 
 
 def _diagram_json(d: CoxeterDiagram) -> dict:
@@ -132,10 +135,7 @@ def _cmd_angle(ns) -> tuple[str, int]:
 def _cmd_min_angle(ns) -> tuple[str, int]:
     doc = _load_doc(ns)
     t = doc.tits
-    if doc.validated:
-        a, achieved = tits_mod._report_valid(t)
-    else:
-        a, achieved = tits_mod.minimal_angle_report(t)
+    a, achieved = tits_mod.minimal_angle_report(t)
     verdict = tits_mod.verdict_against_pi_over_3(a)
     angle_s, cos_s, rad_s = _angle_cells(a)
     achieved_s = " ".join("{" + ",".join(map(str, orb)) + "}" for orb in achieved)

@@ -42,8 +42,6 @@ class SpecDocument:
     payload: Payload
     filename: Optional[str] = None
     spans: dict[str, tuple[int, int]] = field(default_factory=dict)
-    # set when parse_spec has validated the Tits payload
-    validated: bool = False
 
     @property
     def diagram(self) -> CoxeterDiagram:
@@ -223,7 +221,7 @@ def parse_spec(
         report = tits_mod.validate(payload)
         if not report.ok:
             raise InvalidTitsDiagram(report.violations)
-    return SpecDocument(text, payload, filename, spans, validated=require_valid)
+    return SpecDocument(text, payload, filename, spans)
 
 
 def render(payload: Payload) -> str:

@@ -5,7 +5,7 @@ A request validates its diagram once. The public entry points
 (minimal_angle_report, rank_one_subdiagrams, relative_rank, and
 fold.fold_tits) check their input; the internal paths behind them
 (_report_valid, _rank_one_subdiagrams) take a diagram that is already
-valid, so enumerate_indices and the CLI do not validate it again. A
+valid, so enumerate_indices validates each candidate only once. A
 trivial Gamma is never folded on the angle path, and enumerate_indices
 folds (M, Gamma) once for all of its kernels.
 
