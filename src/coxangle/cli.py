@@ -204,13 +204,13 @@ def _cmd_orbit(ns) -> tuple[str, int]:
     node = _want_node(ns, d)
     comp = diag.component_of(d, node)
     r = realize(comp)
-    orbit = weyl.weyl_orbit(r, r.fundamental_weights[node])
+    size = weyl.orbit_size(r, r.fundamental_weights[node], ns.orbit_budget)
     order = weyl.group_order(comp)
-    rows = [[str(node), diag.type_name(comp), str(len(orbit)), str(order)]]
+    rows = [[str(node), diag.type_name(comp), str(size), str(order)]]
     payload = {
         "node": node,
         "component": diag.type_name(comp),
-        "orbit_size": len(orbit),
+        "orbit_size": size,
         "group_order": order,
     }
     out = _emit(
@@ -340,11 +340,7 @@ def run(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_PARSE
     fmt = ns.format
-    budget_set = False
     try:
-        if ns.orbit_budget is not None:
-            weyl.set_orbit_budget(ns.orbit_budget)
-            budget_set = True
         out, code = _COMMANDS[ns.command](ns)
         if out:
             print(out)
@@ -355,9 +351,6 @@ def run(argv: Optional[list[str]] = None) -> int:
     except CoxangleError as exc:
         _print_error(exc, fmt)
         return EXIT_DOMAIN
-    finally:
-        if budget_set:
-            weyl.set_orbit_budget(None)
 
 
 def _print_error(exc: CoxangleError, fmt: str) -> None:

@@ -12,20 +12,22 @@ folds (M, Gamma) once for all of its kernels.
 The angular distance at a node only depends on its connected component (the
 Weyl group acts componentwise and the fundamental weight lies in the
 component's root span), so everything reduces to a classified component and
-a canonical node position; results are cached on that key. Rank-1 and
-rank-2 components have closed forms (pi and 2pi/m); higher rank goes
-through the realized weight orbit.
+a canonical node position. Rank-1 and rank-2 components have closed forms
+(pi and 2pi/m). At higher crystallographic rank the nearest other vertex
+of the orbit of omega_i is s_i omega_i, so cos = 1 - 1/(A^-1)_pp with p the
+canonical position of i; the diagonal of the inverse Cartan matrix is read
+from a type table, and nothing is realized.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
 from . import diagram as diag
-from . import geometry as geom
 from . import weyl
 from .fold import FoldResult, fold
 from .angle import PI, Angle, Verdict, verdict_against_pi_over_3
@@ -172,40 +174,48 @@ def _rank_one_subdiagrams(t: TitsDiagram) -> list[TitsDiagram]:
     return out
 
 
-_angle_cache: dict[tuple, Fraction] = {}
+# (A^-1)_pp of the exceptional types by canonical position p (Bourbaki,
+# Lie Groups ch. VI, plates V-VIII)
+_EXCEPTIONAL_DIAGONAL = {
+    ("E", 6): (Fraction(4, 3), 2, Fraction(10, 3), 6, Fraction(10, 3), Fraction(4, 3)),
+    ("E", 7): (2, Fraction(7, 2), 6, 12, Fraction(15, 2), 4, Fraction(3, 2)),
+    ("E", 8): (4, 8, 14, 30, 20, 12, 6, 2),
+    ("F", 4): (2, 6, 6, 2),
+}
+
+
+# bounded: ranks come from user input; every position of rank <= 8 fits
+@functools.lru_cache(maxsize=1024)
+def _closed_form_cos(family: str, n: int, p: int) -> Fraction:
+    """Best cosine between omega_p and another vertex of its Weyl orbit.
+
+    That vertex is s_p omega_p (Humphreys, Reflection Groups and Coxeter
+    Groups, 1.12), so cos = 1 - (alpha_p, alpha_p) / (2 (omega_p, omega_p))
+    and, as (omega_p, omega_p) = (A^-1)_pp (alpha_p, alpha_p) / 2, the
+    cosine is 1 - 1/(A^-1)_pp. B_n and C_n give the same value.
+    """
+    if family == "A":
+        diagonal = Fraction(p * (n + 1 - p), n + 1)
+    elif family == "B":
+        diagonal = Fraction(p) if p < n else Fraction(n, 2)
+    elif family == "D":
+        diagonal = Fraction(p) if p <= n - 2 else Fraction(n, 4)
+    else:
+        diagonal = Fraction(_EXCEPTIONAL_DIAGONAL[family, n][p - 1])
+    return 1 - 1 / diagonal
 
 
 def clear_angle_cache() -> None:
-    _angle_cache.clear()
-
-
-def _orbit_max_cos(comp: CoxeterDiagram, i: int) -> Fraction:
-    r = geom.realize(comp)
-    w = r.fundamental_weights[i]
-    scale, orbit = weyl._orbit_scaled(r, w)
-    if orbit is not None:
-        seed = tuple(int(c * scale) for c in w)
-        norm = sum(c * c for c in seed)
-        best = None
-        for x in orbit:
-            if x == seed:
-                continue
-            dd = sum(a * b for a, b in zip(seed, x))
-            if best is None or dd > best:
-                best = dd
-        return Fraction(best, norm)
-    orb = weyl._orbit_fractions(r, w, weyl.orbit_budget())
-    norm_f = geom.dot(w, w)
-    best_f = max(geom.dot(w, x) for x in orb if x != w)
-    return best_f / norm_f
+    _closed_form_cos.cache_clear()
 
 
 def angular_distance(d: CoxeterDiagram, i: int) -> Angle:
     """Minimal angle between distinct vertices of type i on the sphere.
 
     Reduces to the connected component of i: rank 1 gives pi, rank 2 with
-    label m gives 2pi/m, and higher crystallographic rank realizes the
-    component and takes the best cosine over the weight orbit.
+    label m gives 2pi/m, and higher crystallographic rank gives
+    arccos(1 - 1/(A^-1)_pp) at the canonical position p of i (see
+    _closed_form_cos).
     """
     comp = diag.component_of(d, i)
     ct = diag.classify(comp)[0]
@@ -218,12 +228,7 @@ def angular_distance(d: CoxeterDiagram, i: int) -> Angle:
         raise NonCrystallographic(
             f"no rational realization for a component of type {ct.name}"
         )
-    key = (ct.family, ct.rank, ct.m, ct.position_of[i])
-    cos = _angle_cache.get(key)
-    if cos is None:
-        cos = _orbit_max_cos(comp, i)
-        _angle_cache[key] = cos
-    return Angle.exact_cos(cos)
+    return Angle.exact_cos(_closed_form_cos(ct.family, ct.rank, ct.position_of[i]))
 
 
 def minimal_angle_report(t: TitsDiagram) -> tuple[Angle, list[tuple[int, ...]]]:

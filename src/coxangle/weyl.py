@@ -4,11 +4,14 @@ longest elements, the opposition involution, and element orders.
 The opposition involution is read from the component-type table, not
 from a realization; only folding builds longest elements.
 
-Orbit enumeration is the only hot path. Orbit vectors are scaled to integer
+Orbit enumeration serves the `orbit` command and the test oracles; the
+angle path uses a closed form instead. Orbit vectors are scaled to integer
 tuples (weights always admit a common denominator) so the BFS runs on plain
 int arithmetic with set-of-tuples deduplication; a Fraction fallback covers
-seeds outside the weight lattice. The default safety budget of 10^7 vectors
-clears the largest fundamental-weight orbit in rank 8 (483 840) with margin.
+seeds outside the weight lattice. orbit_size counts the orbit without
+turning it into Fraction vectors. The default safety budget of 10^7
+vectors clears the largest fundamental-weight orbit in rank 8 (483 840)
+with margin.
 """
 
 from __future__ import annotations
@@ -242,12 +245,11 @@ def _orbit_scaled(
     return scale, orbit
 
 
-def weyl_orbit(r: Realization, v: Vector, budget: Optional[int] = None) -> frozenset[Vector]:
-    """The full W-orbit {w·v}, closed under the simple reflections.
-
-    Vectors are deduplicated exactly. Raises OrbitBudgetExceeded beyond the
-    safety cap (default 10^7 vectors, see orbit_budget()).
-    """
+def _orbit(
+    r: Realization, v: Vector, budget: Optional[int]
+) -> tuple[Optional[int], set]:
+    """(scale, integer orbit of scale*v), or (None, Fraction orbit of v) when
+    the integer path does not apply."""
     if len(v) != r.ambient_dim:
         raise DimensionMismatch(
             f"vector has dimension {len(v)}, ambient is {r.ambient_dim}"
@@ -257,9 +259,26 @@ def weyl_orbit(r: Realization, v: Vector, budget: Optional[int] = None) -> froze
     v = geom.as_vector(v)
     scale, orbit = _orbit_scaled(r, v, budget)
     if orbit is not None:
-        inv = Fraction(1, scale)
-        return frozenset(tuple(inv * c for c in u) for u in orbit)
-    return frozenset(_orbit_fractions(r, v, budget))
+        return scale, orbit
+    return None, _orbit_fractions(r, v, budget)
+
+
+def weyl_orbit(r: Realization, v: Vector, budget: Optional[int] = None) -> frozenset[Vector]:
+    """The full W-orbit {w·v}, closed under the simple reflections.
+
+    Vectors are deduplicated exactly. Raises OrbitBudgetExceeded beyond the
+    safety cap (default 10^7 vectors, see orbit_budget()).
+    """
+    scale, orbit = _orbit(r, v, budget)
+    if scale is None:
+        return frozenset(orbit)
+    inv = Fraction(1, scale)
+    return frozenset(tuple(inv * c for c in u) for u in orbit)
+
+
+def orbit_size(r: Realization, v: Vector, budget: Optional[int] = None) -> int:
+    """len(weyl_orbit(r, v, budget)), without building the Fraction vectors."""
+    return len(_orbit(r, v, budget)[1])
 
 
 def longest_element(r: Realization, nodes: Optional[Iterable[int]] = None) -> OrthogonalElement:

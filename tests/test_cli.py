@@ -7,7 +7,7 @@ import pytest
 
 import coxangle.tits as tits_mod
 from coxangle.cli import EXIT_CATALOG, EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, run
-from coxangle.weyl import DEFAULT_ORBIT_BUDGET, orbit_budget
+from coxangle.weyl import DEFAULT_ORBIT_BUDGET, ORBIT_BUDGET_ENV, orbit_budget
 
 A7_SPEC = "diagram A7\nanisotropic 1 3 5 7\n"
 A5_FOLDED_SPEC = "diagram A5\ngamma (1 5)(2 4)\nanisotropic 1 2 4 5\n"
@@ -53,6 +53,11 @@ class TestAngle:
         doc = json.loads(out)
         assert doc == {"kind": "rational_pi", "pi_fraction": "2/5",
                        "radians_approx": pytest.approx(2 * math.pi / 5)}
+
+    def test_large_rank_closed_form(self, invoke):
+        code, out, _ = invoke("angle", "--diagram", "A400", "--node", "200")
+        assert code == EXIT_OK
+        assert out.splitlines()[2].split()[0] == "arccos(39799/40200)"
 
     def test_missing_node_flag(self, invoke):
         code, _, err = invoke("angle", "--diagram", "A3")
@@ -185,6 +190,16 @@ class TestOrbitCommand:
     def test_budget_restored_after_run(self, invoke):
         invoke("orbit", "--diagram", "E6", "--node", "2", "--orbit-budget", "5")
         assert orbit_budget() == DEFAULT_ORBIT_BUDGET
+
+    def test_budget_flag_and_env_json_error(self, invoke, monkeypatch):
+        args = ("orbit", "--diagram", "E6", "--node", "2", "--format", "json")
+        code, out, err = invoke(*args, "--orbit-budget", "5")
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert json.loads(err)["error"]["code"] == "OrbitBudgetExceeded"
+        monkeypatch.setenv(ORBIT_BUDGET_ENV, "5")
+        code, out, err = invoke(*args)
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert json.loads(err)["error"]["code"] == "OrbitBudgetExceeded"
 
 
 class TestEnumerateCommand:

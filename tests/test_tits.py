@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import functools
+import random
 from fractions import Fraction
 
 import pytest
@@ -266,6 +268,55 @@ class TestAngularDistance:
         d2 = new_diagram([10, 20, 30], [(10, 20, 3), (20, 30, 3)])
         assert angular_distance(d1, 1) == angular_distance(d2, 10)
         assert angular_distance(d1, 2) == angular_distance(d2, 20)
+
+
+# every crystallographic builtin of rank 3 to 8 (C_n and B_n share a diagram)
+RANK_3_TO_8 = (
+    [f"A{n}" for n in range(3, 9)] + [f"B{n}" for n in range(3, 9)] + ["C3"]
+    + [f"D{n}" for n in range(4, 9)] + ["E6", "E7", "E8", "F4"]
+)
+RANK_UP_TO_8 = ["A1", "A2", "B2", "G2"] + RANK_3_TO_8
+
+
+class TestClosedFormAngle:
+    """The closed form against the orbit scan it replaced."""
+
+    @pytest.mark.parametrize("name", RANK_3_TO_8)
+    def test_matches_orbit_scan(self, name):
+        d = builtin(name)
+        for i in d.nodes:
+            want = Angle.exact_cos(helpers.orbit_scan_max_cos(d, i))
+            assert angular_distance(d, i) == want, (name, i)
+
+    @pytest.mark.parametrize("name,seed", [("E6", 1), ("E7", 2), ("F4", 3), ("D5", 4)])
+    def test_relabelled_matches_orbit_scan(self, name, seed):
+        # canonical positions differ from labels here, so position_of is used
+        d = helpers.relabeled(builtin(name), random.Random(seed))
+        for i in d.nodes:
+            want = Angle.exact_cos(helpers.orbit_scan_max_cos(d, i))
+            assert angular_distance(d, i) == want, (name, i)
+
+
+@functools.lru_cache(maxsize=None)
+def _valid_kernels(name: str) -> tuple:
+    d = builtin(name)
+    rows = enumerate_indices(d, AutGroup.trivial(d.nodes))
+    return tuple((tuple(sorted(t.anisotropic)), angle) for t, angle, _ in rows)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_angles_invariant_under_relabelling(data):
+    name = data.draw(st.sampled_from(RANK_UP_TO_8))
+    d = builtin(name)
+    labels = data.draw(st.lists(st.integers(1, 100), min_size=d.rank,
+                                max_size=d.rank, unique=True))
+    label = dict(zip(d.nodes, labels))
+    e = new_diagram(labels, [(label[i], label[j], m) for i, j, m in d.edges])
+    for i in d.nodes:
+        assert angular_distance(e, label[i]) == angular_distance(d, i)
+    kernel, angle = data.draw(st.sampled_from(_valid_kernels(name)))
+    assert minimal_angle(tits_diagram(e, anisotropic=[label[a] for a in kernel])) == angle
 
 
 class TestMinimalAngle:

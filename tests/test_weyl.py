@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import helpers
-from coxangle.diagram import builtin, new_diagram
+from coxangle.diagram import builtin, new_diagram, restrict
 from coxangle.errors import OrbitBudgetExceeded, OrderBudgetExceeded
 from coxangle.geometry import dot, realize, root_coefficients, vscale
 from coxangle.weyl import (
@@ -18,6 +18,7 @@ from coxangle.weyl import (
     longest_element,
     opposition,
     orbit_budget,
+    orbit_size,
     reflection_element,
     set_orbit_budget,
     weyl_orbit,
@@ -100,6 +101,15 @@ class TestOrbits:
         r = realize(builtin("E6"))
         with pytest.raises(OrbitBudgetExceeded):
             weyl_orbit(r, r.fundamental_weights[2], budget=10)
+
+    @pytest.mark.parametrize("name", ["B4", "D5", "E6"])
+    def test_orbit_size_counts_the_orbit(self, name):
+        d = builtin(name)
+        r = realize(d)
+        for i in d.nodes:
+            w = r.fundamental_weights[i]
+            stab = group_order(restrict(d, [j for j in d.nodes if j != i]))
+            assert orbit_size(r, w) == len(weyl_orbit(r, w)) == group_order(d) // stab
 
     def test_budget_argument_wins(self):
         r = realize(builtin("A3"))
