@@ -1,17 +1,31 @@
 """Diagram folding under an automorphism group.
 
-The folded diagram has one node per orbit J, generated by w_J, the longest
-element of the parabolic on J. Edge labels are computed, not tabulated: the
-order of w_J·w_K in the ambient matrix representation. This covers reducible
-diagrams and component-swapping groups with no special cases. Orbits spanning
-swapped components need no extra path either: the parabolic is a product and
-the greedy descent already yields the product of the component longest
-elements.
+The folded diagram has one node per orbit J, standing for w_J, the longest
+element of the parabolic on J. Edge labels come from positive-root counts.
+Let N(X) be the number of positive roots of W_X, which is the length of its
+longest element. For two orbits J and K joined by an edge of M, the longest
+element of W_{J∪K} is the alternating product of w_J and w_K with m(J, K)
+factors, and lengths add along it (Steinberg, *Lectures on Chevalley
+Groups*, on W^σ; Lusztig, *Hecke Algebras with Unequal Parameters*, ch. 16,
+the quasisplit case). So
+
+    m(J, K) = 2·N(J∪K) / (N(J) + N(K)).
+
+When m is odd the product can start with either factor, which forces
+N(J) = N(K), so the formula holds for every m. Orbits with no edge between
+them commute (m = 2). N is read per component from a type table, so
+reducible diagrams and component-swapping groups need no special case and
+nothing is realized.
+
+The orbit generators w_J, as ambient matrices, are built only when
+FoldResult.generators is first read; the test suite checks every folded
+bond against the order of their product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from . import diagram as diag
@@ -24,31 +38,65 @@ from .weyl import OrthogonalElement
 
 @dataclass
 class FoldResult:
-    """Folded diagram, the orbit projection, and the orbit generators.
+    """Folded diagram, the orbit projection, and the diagram that was folded.
 
-    Folded nodes are labeled by the smallest member of their orbit.
-    generators is None on paths with no rational realization (trivial folds
-    of non-crystallographic diagrams, and the analytic I_2(m) fold).
+    Folded nodes are labeled by the smallest member of their orbit. The
+    bonds come from positive-root counts, m(J, K) = 2·N(J∪K) / (N(J) + N(K))
+    (length additivity on the fixed subgroup: Steinberg; Lusztig ch. 16; see
+    the module docstring), so no matrix is built for them. The fixed-subgroup
+    generators are built on demand, on the first read of generators.
     """
 
     folded: CoxeterDiagram
     node_map: dict[int, int]
-    generators: Optional[dict[int, OrthogonalElement]]
+    diagram: CoxeterDiagram
+
+    @cached_property
+    def generators(self) -> Optional[dict[int, OrthogonalElement]]:
+        """w_J of each orbit J as an ambient matrix, keyed by folded label.
+
+        Realized on first access. None when the diagram that was folded has
+        no rational realization (it is not crystallographic; this includes
+        the analytic I_2(m) fold).
+        """
+        if not all(ct.crystallographic for ct in diag.classify(self.diagram)):
+            return None
+        r = geom.realize(self.diagram)
+        orbits: dict[int, list[int]] = {}
+        for i, label in self.node_map.items():
+            orbits.setdefault(label, []).append(i)
+        return {label: weyl.longest_element(r, orbits[label]) for label in sorted(orbits)}
 
 
-def _trivial_fold(d: CoxeterDiagram) -> FoldResult:
-    generators = None
-    if all(ct.crystallographic for ct in diag.classify(d)):
-        r = geom.realize(d)
-        generators = {i: weyl.reflection_element(r, i) for i in d.nodes}
-    return FoldResult(d, {i: i for i in d.nodes}, generators)
+def _positive_roots(d: CoxeterDiagram) -> int:
+    """N(d), the number of positive roots of W_d, summed over components."""
+    total = 0
+    for ct in diag.classify(d):
+        n = ct.rank
+        if ct.family == "A":
+            total += n * (n + 1) // 2
+        elif ct.family == "B":
+            total += n * n
+        elif ct.family == "D":
+            total += n * (n - 1)
+        elif ct.family == "E":
+            total += {6: 36, 7: 63, 8: 120}[n]
+        elif ct.family == "F":
+            total += 24
+        elif ct.family == "G":
+            total += 6
+        elif ct.family == "H":
+            total += {3: 15, 4: 60}[n]
+        else:
+            total += ct.m
+    return total
 
 
 def fold(d: CoxeterDiagram, g: AutGroup) -> FoldResult:
     """Fold d by g; see FoldResult. Trivial g returns d unchanged."""
     diag.check_automorphisms(d, g)
     if g.is_trivial:
-        return _trivial_fold(d)
+        return FoldResult(d, {i: i for i in d.nodes}, d)
     orbits = diag.orbits(d, g)
     node_map = {i: min(orbit) for orbit in orbits for i in orbit}
     if not all(ct.crystallographic for ct in diag.classify(d)):
@@ -57,22 +105,22 @@ def fold(d: CoxeterDiagram, g: AutGroup) -> FoldResult:
             # involution w_0, so the fold is A_1; no rational matrices exist
             label = min(d.nodes)
             folded = diag.new_diagram([label], [])
-            return FoldResult(folded, node_map, None)
+            return FoldResult(folded, node_map, d)
         raise NonCrystallographic(
             "folding with nontrivial symmetry needs a crystallographic diagram "
             "(or a single rank-2 diagram)"
         )
-    r = geom.realize(d)
-    labels = sorted(min(orbit) for orbit in orbits)
-    gens = {min(orbit): weyl.longest_element(r, orbit) for orbit in orbits}
-    entries: list[tuple[int, int, int]] = []
-    for idx, a in enumerate(labels):
-        for b in labels[idx + 1 :]:
-            m = weyl.element_order(gens[a].times(gens[b]))
-            if m >= 3:
-                entries.append((a, b, m))
-    folded = diag.new_diagram(labels, entries)
-    return FoldResult(folded, node_map, gens)
+    members = {min(orbit): orbit for orbit in orbits}
+    count = {a: _positive_roots(diag.restrict(d, orbit)) for a, orbit in members.items()}
+    joined = {tuple(sorted((node_map[i], node_map[j]))) for i, j, _ in d.edges}
+    entries = [
+        (a, b, 2 * _positive_roots(diag.restrict(d, members[a] + members[b]))
+         // (count[a] + count[b]))
+        for a, b in sorted(joined)
+        if a != b
+    ]
+    folded = diag.new_diagram(sorted(members), entries)
+    return FoldResult(folded, node_map, d)
 
 
 def fold_tits(t) -> tuple[FoldResult, frozenset[int]]:

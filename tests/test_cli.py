@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import math
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -367,3 +369,55 @@ class TestWorkOncePerRequest:
         assert code == EXIT_DOMAIN
         assert json.loads(err)["error"]["code"] == "InvalidTitsDiagram"
         assert counted["validate"] == 1
+
+
+E6_FLIP_SPEC = "diagram E6\ngamma (1 6)(3 5)\nanisotropic 2 4\n"
+ENUM_D5_FLIP = str(Path(__file__).resolve().parents[1] / "bench" / "specs" / "enum-D5-flip.spec")
+MATRIX_FUNCTIONS = (("geometry", "realize"), ("weyl", "longest_element"),
+                   ("weyl", "element_order"))
+
+
+@pytest.fixture
+def matrix_calls(monkeypatch):
+    """Count calls of realize, longest_element and element_order wherever a
+    coxangle module binds them."""
+    calls = {name: 0 for _, name in MATRIX_FUNCTIONS}
+    for module, name in MATRIX_FUNCTIONS:
+        fn = getattr(sys.modules[f"coxangle.{module}"], name)
+
+        def counting(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "coxangle" and getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+class TestRequestPathBuildsNoMatrix:
+    @pytest.mark.parametrize("command", ["min-angle", "fold"])
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_e6_flip_spec(self, invoke, matrix_calls, tmp_path, command, fmt):
+        code, _, _ = invoke(command, write(tmp_path, E6_FLIP_SPEC), "--format", fmt)
+        assert code == EXIT_OK
+        assert matrix_calls == {"realize": 0, "longest_element": 0, "element_order": 0}
+
+    def test_enumerate_d5_flip(self, invoke, matrix_calls):
+        code, out, _ = invoke("enumerate", ENUM_D5_FLIP, "--format", "json")
+        assert code == EXIT_OK and len(json.loads(out)["entries"]) > 1
+        assert matrix_calls == {"realize": 0, "longest_element": 0, "element_order": 0}
+
+    def test_generators_still_built_on_access(self, matrix_calls):
+        from coxangle.diagram import builtin
+        from coxangle.fold import fold
+        from helpers import gen_group
+
+        d = builtin("E6")
+        res = fold(d, gen_group(d, [(1, 6), (3, 5)]))
+        assert matrix_calls["realize"] == 0
+        gens = res.generators
+        assert set(gens) == {1, 2, 3, 4}
+        assert all(g.times(g).is_identity for g in gens.values())
+        assert matrix_calls == {"realize": 1, "longest_element": 4, "element_order": 0}
+        assert res.generators is gens

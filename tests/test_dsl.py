@@ -1,10 +1,19 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from coxangle.diagram import CoxeterDiagram, builtin, type_name
+from coxangle.diagram import (
+    AutGroup,
+    CoxeterDiagram,
+    builtin,
+    diagram_automorphisms,
+    new_diagram,
+    orbits,
+    type_name,
+)
 from coxangle.dsl import SpecDocument, parse_spec, render
-from coxangle.errors import InvalidTitsDiagram, ParseError
+from coxangle.errors import CoxangleError, InvalidTitsDiagram, ParseError
 from coxangle.tits import TitsDiagram, minimal_angle
 
 EXAMPLE_FOLDED_A5 = "diagram A5\ngamma (1 5)(2 4)\nanisotropic 1 2 4 5\n"
@@ -168,3 +177,56 @@ class TestRoundTrip:
         again = parse_spec(render(doc.payload), require_valid=False)
         assert again.payload.gamma.order() == doc.payload.gamma.order() == 6
         assert again.payload == doc.payload
+
+
+ROUND_TRIP_BUILTINS = ["A1", "A3", "A5", "B3", "D4", "D5", "E6", "E8", "F4", "G2", "H3",
+                       "I2(5)", "I2(8)", "A2+A2", "D4+D4", "G2+E6", "A1+A1+A1", "I2(5)+I2(5)"]
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_render_parse_round_trip(data):
+    d = builtin(data.draw(st.sampled_from(ROUND_TRIP_BUILTINS)))
+    labels = data.draw(st.lists(st.integers(1, 100), min_size=d.rank,
+                                max_size=d.rank, unique=True))
+    label = dict(zip(d.nodes, labels))
+    d = new_diagram(labels, [(label[i], label[j], m) for i, j, m in d.edges])
+    if data.draw(st.booleans()):
+        assert parse_spec(render(d)).payload == d
+        return
+    elements = sorted(diagram_automorphisms(d).elements(), key=lambda p: p.mapping)
+    gens = data.draw(st.lists(st.sampled_from(elements), max_size=3))
+    gamma = AutGroup.generated_by(gens, d.nodes)
+    chosen = data.draw(st.lists(st.sampled_from(orbits(d, gamma)), unique=True))
+    t = TitsDiagram(d, gamma, frozenset(x for orbit in chosen for x in orbit))
+    assert parse_spec(render(t), require_valid=False).payload == t
+
+
+# mostly well-formed clauses over small labels, with junk tokens mixed in
+NAMES = ["custom", "custom", "", "A3", "A5", "B3", "D4", "E6", "F4", "H3", "I2(5)", "I2(1)",
+         "D4+D4", "G2+E6", "E9", "Q2", "A5+"]
+junk = st.text(alphabet=" \t()#-+,.x1\r", max_size=4)
+small_label = st.integers(-1, 9).map(str)
+word = st.one_of(small_label, small_label, small_label, small_label, junk)
+words = st.lists(word, max_size=5).map(" ".join)
+cycles = st.lists(words.map(lambda w: f"({w})"), max_size=3).map("".join)
+spec_line = st.one_of(
+    words.map("nodes {}".format),
+    st.one_of(words, st.lists(word, min_size=3, max_size=3).map(" ".join)).map(
+        "edge {}".format),
+    st.one_of(cycles, words).map("gamma {}".format),
+    words.map("anisotropic {}".format),
+    st.sampled_from(NAMES).map("diagram {}".format),
+    words,
+)
+spec_text = st.tuples(st.sampled_from(NAMES), st.lists(spec_line, max_size=6)).map(
+    lambda x: "\n".join([f"diagram {x[0]}", *x[1]]))
+
+
+@settings(deadline=None, max_examples=300)
+@given(spec_text, st.booleans())
+def test_fuzzed_spec_text_raises_only_coxangle_errors(text, require_valid):
+    try:
+        parse_spec(text, require_valid=require_valid)
+    except CoxangleError:
+        pass

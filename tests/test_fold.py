@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import math
+import random
+
 import pytest
 
 import helpers
@@ -13,9 +16,16 @@ from coxangle.diagram import (
     type_name,
 )
 from coxangle.errors import NonCrystallographic, NotAnAutomorphism
-from coxangle.fold import FoldResult, fold, fold_tits
+from coxangle.fold import FoldResult, _positive_roots, fold, fold_tits
+from coxangle.geometry import realize
 from coxangle.tits import TitsDiagram
-from coxangle.weyl import _identity_matrix, _mat_mul, group_order
+from coxangle.weyl import (
+    _identity_matrix,
+    _mat_mul,
+    element_order,
+    group_order,
+    longest_element,
+)
 
 
 def closure_order(gens) -> int:
@@ -238,3 +248,77 @@ class TestFoldResultShape:
         assert isinstance(res, FoldResult)
         assert hasattr(res, "folded") and hasattr(res, "node_map")
         assert hasattr(res, "generators")
+
+
+# every builtin of rank <= 8 with a nontrivial diagram automorphism
+SYMMETRIC = ([f"A{n}" for n in range(2, 9)] + ["B2", "G2", "F4", "E6"]
+             + [f"D{n}" for n in range(4, 9)])
+SUMS = ["A2+A2", "A3+A3", "B3+B3", "D4+D4", "E6+E6", "F4+F4", "G2+E6", "D4+A3",
+        "A2+A2+A2"]
+CRYSTALLOGRAPHIC = (["A1", "G2"] + [f"A{n}" for n in range(2, 9)]
+                    + [f"B{n}" for n in range(2, 9)] + [f"C{n}" for n in range(3, 9)]
+                    + [f"D{n}" for n in range(4, 9)] + ["E6", "E7", "E8", "F4"])
+
+
+def _oracle_cases():
+    """(id, diagram, group): each SYMMETRIC builtin with its full group and
+    with every distinct cyclic subgroup, each sum with its full group, and
+    two random relabellings each of E6 and D4+D4 with their full groups."""
+    cases = []
+    for name in SYMMETRIC:
+        d = builtin(name)
+        full = diagram_automorphisms(d)
+        cases.append((f"{name}-full", d, full))
+        seen = {full.elements()}
+        for p in sorted(full.elements(), key=lambda p: p.mapping):
+            cyclic = AutGroup.generated_by([p], d.nodes)
+            if not p.is_identity and cyclic.elements() not in seen:
+                seen.add(cyclic.elements())
+                cases.append((f"{name}-<{p.cycle_string()}>", d, cyclic))
+    for name in SUMS:
+        d = builtin(name)
+        cases.append((f"{name}-full", d, diagram_automorphisms(d)))
+    rng = random.Random(20)
+    for name in ("E6", "D4+D4"):
+        for k in range(2):
+            d = helpers.relabeled(builtin(name), rng)
+            cases.append((f"{name}-relabelled-{k}", d, diagram_automorphisms(d)))
+    return cases
+
+
+ORACLE_CASES = _oracle_cases()
+
+
+class TestBondsAgainstAmbientOracle:
+    """Folded bonds from positive-root counts against the order of w_J w_K
+    in the realized ambient group, with the generators built on demand."""
+
+    @pytest.mark.parametrize("d,g", [c[1:] for c in ORACLE_CASES],
+                             ids=[c[0] for c in ORACLE_CASES])
+    def test_bond_is_order_of_generator_product(self, d, g):
+        res = fold(d, g)
+        gens = res.generators
+        assert set(gens) == set(res.folded.nodes)
+        for a in res.folded.nodes:
+            for b in res.folded.nodes:
+                if a < b:
+                    want = element_order(gens[a].times(gens[b]))
+                    assert res.folded.m(a, b) == want, (a, b)
+
+    @pytest.mark.parametrize("name", CRYSTALLOGRAPHIC)
+    def test_positive_roots_is_longest_element_length(self, name):
+        d = builtin(name)
+        assert _positive_roots(d) == len(longest_element(realize(d)).word)
+
+    @pytest.mark.parametrize("name,degrees", [
+        ("H3", (2, 6, 10)), ("H4", (2, 12, 20, 30)), ("I2(5)", (2, 5)), ("I2(8)", (2, 8)),
+    ])
+    def test_noncrystallographic_entries_match_degrees(self, name, degrees):
+        # N = sum of (d_i - 1) and |W| = product of d_i over the degrees d_i
+        # (Humphreys, Reflection Groups and Coxeter Groups, 3.9)
+        d = builtin(name)
+        assert group_order(d) == math.prod(degrees)
+        assert _positive_roots(d) == sum(k - 1 for k in degrees)
+
+    def test_sums_add(self):
+        assert _positive_roots(builtin("G2+E6+A3")) == 6 + 36 + 6
