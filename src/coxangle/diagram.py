@@ -194,6 +194,17 @@ class AutGroup:
         return len(self.elements())
 
 
+_EXCEPTIONAL_DEGREES = {
+    "E6": (2, 5, 6, 8, 9, 12),
+    "E7": (2, 6, 8, 10, 12, 14, 18),
+    "E8": (2, 8, 12, 14, 18, 20, 24, 30),
+    "F4": (2, 6, 8, 12),
+    "G2": (2, 6),
+    "H3": (2, 6, 10),
+    "H4": (2, 12, 20, 30),
+}
+
+
 @dataclass(frozen=True)
 class ComponentType:
     """Recognized finite type of one connected component.
@@ -229,9 +240,20 @@ class ComponentType:
         return False
 
     @property
-    def key(self) -> tuple:
-        """Cache key identifying the abstract Coxeter type."""
-        return (self.family, self.rank, self.m)
+    def degrees(self) -> tuple[int, ...]:
+        """Degrees d_i of the basic invariants of W: |W| is their product
+        and the number of positive roots is the sum of d_i - 1 (Humphreys,
+        Reflection Groups and Coxeter Groups, 3.7-3.9, Table 3.1)."""
+        n = self.rank
+        if self.family == "A":
+            return tuple(range(2, n + 2))
+        if self.family == "B":
+            return tuple(range(2, 2 * n + 1, 2))
+        if self.family == "D":
+            return tuple(range(2, 2 * n - 1, 2)) + (n,)
+        if self.family == "I2":
+            return (2, self.m)
+        return _EXCEPTIONAL_DEGREES[self.name]
 
 
 def new_diagram(nodes: Iterable[int], entries: Iterable[tuple[int, int, int]]) -> CoxeterDiagram:

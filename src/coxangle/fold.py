@@ -13,9 +13,9 @@ the quasisplit case). So
 
 When m is odd the product can start with either factor, which forces
 N(J) = N(K), so the formula holds for every m. Orbits with no edge between
-them commute (m = 2). N is read per component from a type table, so
-reducible diagrams and component-swapping groups need no special case and
-nothing is realized.
+them commute (m = 2). N is the sum of d_i - 1 over the degrees d_i of
+each component (ComponentType.degrees), so reducible diagrams and
+component-swapping groups need no special case and nothing is realized.
 
 The orbit generators w_J, as ambient matrices, are built only when
 FoldResult.generators is first read; the test suite checks every folded
@@ -69,27 +69,9 @@ class FoldResult:
 
 
 def _positive_roots(d: CoxeterDiagram) -> int:
-    """N(d), the number of positive roots of W_d, summed over components."""
-    total = 0
-    for ct in diag.classify(d):
-        n = ct.rank
-        if ct.family == "A":
-            total += n * (n + 1) // 2
-        elif ct.family == "B":
-            total += n * n
-        elif ct.family == "D":
-            total += n * (n - 1)
-        elif ct.family == "E":
-            total += {6: 36, 7: 63, 8: 120}[n]
-        elif ct.family == "F":
-            total += 24
-        elif ct.family == "G":
-            total += 6
-        elif ct.family == "H":
-            total += {3: 15, 4: 60}[n]
-        else:
-            total += ct.m
-    return total
+    """N(d), the number of positive roots of W_d: the sum of d_i - 1 over
+    the degrees d_i of its components."""
+    return sum(k - 1 for ct in diag.classify(d) for k in ct.degrees)
 
 
 def fold(d: CoxeterDiagram, g: AutGroup) -> FoldResult:

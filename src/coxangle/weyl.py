@@ -8,12 +8,12 @@ the test oracles; no CLI request builds them.
 
 Orbit enumeration serves the `orbit` command and the test oracles; the
 angle path uses a closed form instead. Orbit vectors are scaled to integer
-tuples (weights always admit a common denominator) so the BFS runs on plain
-int arithmetic with set-of-tuples deduplication; a Fraction fallback covers
-seeds outside the weight lattice. orbit_size counts the orbit without
-turning it into Fraction vectors. The default safety budget of 10^7
-vectors clears the largest fundamental-weight orbit in rank 8 (483 840)
-with margin.
+tuples so the BFS runs on plain int arithmetic with set-of-tuples
+deduplication; the scale also clears the denominators of the seed's coroot
+pairings, which keeps the walk exact for every rational seed (see _orbit).
+orbit_size counts the orbit without turning it into Fraction vectors. The
+default safety budget of 10^7 vectors clears the largest fundamental-weight
+orbit in rank 8 (483 840) with margin.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from . import geometry as geom
 from .diagram import CoxeterDiagram, Permutation
 from .errors import (
     DimensionMismatch,
-    NotSpherical,
     OrbitBudgetExceeded,
     OrderBudgetExceeded,
     UnknownNode,
@@ -129,43 +128,24 @@ def reflection_element(r: Realization, i: int) -> OrthogonalElement:
 
 
 def group_order(d: CoxeterDiagram) -> int:
-    """|W| as the product of classical component orders."""
-    order = 1
-    for ct in diag.classify(d):
-        fam, n = ct.family, ct.rank
-        if fam == "A":
-            order *= math.factorial(n + 1)
-        elif fam == "B":
-            order *= (1 << n) * math.factorial(n)
-        elif fam == "D":
-            order *= (1 << (n - 1)) * math.factorial(n)
-        elif fam == "E":
-            order *= {6: 51840, 7: 2903040, 8: 696729600}[n]
-        elif fam == "F":
-            order *= 1152
-        elif fam == "G":
-            order *= 12
-        elif fam == "H":
-            order *= {3: 120, 4: 14400}[n]
-        elif fam == "I2":
-            order *= 2 * ct.m
-        else:
-            raise NotSpherical(f"unknown component type {ct.name}")
-    return order
+    """|W| as the product of the degrees of its components."""
+    return math.prod(k for ct in diag.classify(d) for k in ct.degrees)
+
+
+# (support of s*alpha, its nonzero entries, their squared norm, s)
+_Gen = tuple[tuple[int, ...], tuple[int, ...], int, int]
 
 
 def _orbit_ints(
-    seed: tuple[int, ...],
-    gens: Sequence[tuple[tuple[int, ...], tuple[int, ...], int]],
-    budget: int,
-) -> Optional[set[tuple[int, ...]]]:
-    """Integer orbit BFS; None signals a non-integral reflection coefficient."""
+    seed: tuple[int, ...], gens: Sequence[_Gen], budget: int
+) -> set[tuple[int, ...]]:
+    """Integer orbit BFS; the scale chosen by _orbit keeps every step exact."""
     seen = {seed}
     frontier = [seed]
     while frontier:
         nxt = []
         for u in frontier:
-            for support, avals, dd in gens:
+            for support, avals, dd, _ in gens:
                 c = 0
                 for k in range(len(support)):
                     c += u[support[k]] * avals[k]
@@ -174,7 +154,7 @@ def _orbit_ints(
                     continue
                 q, rem = divmod(c, dd)
                 if rem:
-                    return None
+                    raise AssertionError("unreachable")
                 v = list(u)
                 for k in range(len(support)):
                     v[support[k]] -= q * avals[k]
@@ -190,29 +170,8 @@ def _orbit_ints(
     return seen
 
 
-def _orbit_fractions(r: Realization, v: Vector, budget: int) -> set[Vector]:
-    seen = {v}
-    frontier = [v]
-    nodes = tuple(r.simple_roots)
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for i in nodes:
-                w = geom.reflect(r, i, u)
-                if w not in seen:
-                    if len(seen) >= budget:
-                        raise OrbitBudgetExceeded(
-                            f"orbit exceeded the safety budget of {budget} vectors"
-                        )
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return seen
-
-
-def _integer_gens(
-    r: Realization,
-) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
+def _integer_gens(r: Realization) -> tuple[_Gen, ...]:
+    """One _Gen per simple root alpha, s the lcm of its denominators."""
     gens = []
     for i in r.simple_roots:
         alpha = r.simple_roots[i]
@@ -221,37 +180,22 @@ def _integer_gens(
         support = tuple(k for k, a in enumerate(avals_full) if a)
         avals = tuple(avals_full[k] for k in support)
         dd = sum(a * a for a in avals)
-        gens.append((support, avals, dd))
+        gens.append((support, avals, dd, scale))
     return tuple(gens)
 
 
-def _orbit_scaled(
-    r: Realization, v: Vector, budget: Optional[int] = None
-) -> tuple[int, Optional[set[tuple[int, ...]]]]:
-    """Integer-path orbit of v: returns (scale, orbit of scale*v), or (scale,
-    None) when some reflection coefficient fails to stay integral.
-
-    The scale clears the denominators of v and of every simple root: the
-    orbit lives in v plus the root lattice, so this keeps the whole orbit
-    integral whenever v pairs integrally with the coroots (any weight-lattice
-    vector does).
-    """
-    if budget is None:
-        budget = orbit_budget()
-    denoms = [c.denominator for c in v]
-    for alpha in r.simple_roots.values():
-        denoms.extend(c.denominator for c in alpha)
-    scale = math.lcm(*denoms)
-    seed = tuple(int(c * scale) for c in v)
-    orbit = _orbit_ints(seed, _integer_gens(r), budget)
-    return scale, orbit
-
-
 def _orbit(
-    r: Realization, v: Vector, budget: Optional[int]
-) -> tuple[Optional[int], set]:
-    """(scale, integer orbit of scale*v), or (None, Fraction orbit of v) when
-    the integer path does not apply."""
+    r: Realization, v: Vector, budget: Optional[int] = None
+) -> tuple[int, set[tuple[int, ...]]]:
+    """(scale, orbit of scale*v as integer tuples).
+
+    scale is L*P. L is the lcm of the denominators of v and of every simple
+    root; P is the lcm of the denominators of the coroot pairings
+    <v, alpha_i^vee>. The Cartan integers are integers, so every pairing
+    along the orbit stays in (1/P)Z, and each reflection moves scale*v by an
+    integer multiple of L*alpha_i: the walk is exact for every rational v.
+    A weight has P = 1. One lcm over all the denominators is not enough.
+    """
     if len(v) != r.ambient_dim:
         raise DimensionMismatch(
             f"vector has dimension {len(v)}, ambient is {r.ambient_dim}"
@@ -259,10 +203,17 @@ def _orbit(
     if budget is None:
         budget = orbit_budget()
     v = geom.as_vector(v)
-    scale, orbit = _orbit_scaled(r, v, budget)
-    if orbit is not None:
-        return scale, orbit
-    return None, _orbit_fractions(r, v, budget)
+    gens = _integer_gens(r)
+    lcm = math.lcm(*(c.denominator for c in v), *(g[3] for g in gens))
+    u = tuple(int(c * lcm) for c in v)
+    # with a = s*alpha: <v, alpha^vee> = 2*s*(u . a) / (lcm * |a|^2)
+    pairing_lcm = math.lcm(*(
+        lcm * dd // math.gcd(2 * s * sum(u[k] * a for k, a in zip(support, avals)),
+                             lcm * dd)
+        for support, avals, dd, s in gens
+    ))
+    seed = tuple(c * pairing_lcm for c in u)
+    return lcm * pairing_lcm, _orbit_ints(seed, gens, budget)
 
 
 def weyl_orbit(r: Realization, v: Vector, budget: Optional[int] = None) -> frozenset[Vector]:
@@ -272,8 +223,6 @@ def weyl_orbit(r: Realization, v: Vector, budget: Optional[int] = None) -> froze
     safety cap (default 10^7 vectors, see orbit_budget()).
     """
     scale, orbit = _orbit(r, v, budget)
-    if scale is None:
-        return frozenset(orbit)
     inv = Fraction(1, scale)
     return frozenset(tuple(inv * c for c in u) for u in orbit)
 

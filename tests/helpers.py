@@ -47,20 +47,17 @@ def brute_max_cos(r: geom.Realization, i: int) -> Fraction:
 def orbit_scan_max_cos(comp: CoxeterDiagram, i: int) -> Fraction:
     """Best cosine between omega_i and another vector of its Weyl orbit.
 
-    Realizes the component and scans the whole orbit, on scaled integer
-    vectors when the seed allows it and on Fractions otherwise; an
-    independent check of the closed form in tits.angular_distance.
+    Realizes the component and scans the whole orbit on scaled integer
+    vectors; an independent check of the closed form in
+    tits.angular_distance.
     """
     r = geom.realize(comp)
     w = r.fundamental_weights[i]
-    scale, orbit = weyl._orbit_scaled(r, w)
-    if orbit is not None:
-        seed = tuple(int(c * scale) for c in w)
-        norm = sum(c * c for c in seed)
-        best = max(sum(a * b for a, b in zip(seed, x)) for x in orbit if x != seed)
-        return Fraction(best, norm)
-    orb = weyl._orbit_fractions(r, w, weyl.orbit_budget())
-    return max(geom.dot(w, x) for x in orb if x != w) / geom.dot(w, w)
+    scale, orbit = weyl._orbit(r, w)
+    seed = tuple(int(c * scale) for c in w)
+    norm = sum(c * c for c in seed)
+    best = max(sum(a * b for a, b in zip(seed, x)) for x in orbit if x != seed)
+    return Fraction(best, norm)
 
 
 def brute_longest(r: geom.Realization):

@@ -6,13 +6,14 @@ from fractions import Fraction
 import pytest
 
 import helpers
-from coxangle.diagram import builtin, new_diagram, restrict
+from coxangle.diagram import builtin, classify, new_diagram, restrict
 from coxangle.errors import OrbitBudgetExceeded, OrderBudgetExceeded
 from coxangle.geometry import dot, realize, root_coefficients, vscale
 from coxangle.weyl import (
     DEFAULT_ORBIT_BUDGET,
     ORBIT_BUDGET_ENV,
     OrthogonalElement,
+    _mat_vec,
     element_order,
     group_order,
     longest_element,
@@ -96,6 +97,34 @@ class TestOrbits:
         orbit = weyl_orbit(r, w)
         assert len(orbit) == 240
         assert vscale(Fraction(-1), w) in orbit
+
+    @pytest.mark.parametrize("name", ["A3", "B3", "D4", "G2", "F4", "A2+B2"])
+    def test_non_weight_seeds_match_brute_orbit(self, name):
+        # random rational seeds mostly pair to fractions with the coroots,
+        # so they lie outside the weight lattice
+        r = realize(builtin(name))
+        rng = random.Random(name)
+        e1 = (Fraction(1),) + (Fraction(0),) * (r.ambient_dim - 1)
+        seeds = [e1] + [
+            tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                  for _ in range(r.ambient_dim))
+            for _ in range(3)
+        ]
+        assert any(dot(v, c).denominator > 1 for v in seeds for c in r.coroots.values())
+        group = helpers.full_group_matrices(r)
+        for v in seeds:
+            want = frozenset(_mat_vec(m, v) for m in group)
+            assert weyl_orbit(r, v) == want
+            assert orbit_size(r, v) == len(want)
+
+    def test_e8_unit_vector_orbit(self):
+        # e_1 pairs to 1/2 with the half-integer roots of E8, so it is not a
+        # weight; its stabilizer is W(D7)
+        r = realize(builtin("E8"))
+        e1 = (Fraction(1),) + (Fraction(0),) * 7
+        assert any(dot(e1, c).denominator > 1 for c in r.coroots.values())
+        want = group_order(builtin("E8")) // group_order(builtin("D7"))
+        assert orbit_size(r, e1) == 2160 == want
 
     def test_budget_exceeded(self):
         r = realize(builtin("E6"))
@@ -284,6 +313,16 @@ class TestOpposition:
         d = builtin(name)
         swapped = opposition(d)(d.nodes[0]) == d.nodes[1]
         assert swapped == helpers.dihedral_opposition(m)
+
+    @pytest.mark.parametrize(
+        "name", FULL_RANK_TYPES + ["H3", "H4"] + [f"I2({m})" for m in range(3, 13)]
+    )
+    def test_identity_exactly_when_all_degrees_even(self, name):
+        # w_0 = -1 exactly when every degree is even, so the degrees table
+        # and the opposition table must agree on which types have sigma = id
+        d = builtin(name)
+        (ct,) = classify(d)
+        assert all(k % 2 == 0 for k in ct.degrees) == opposition(d).is_identity
 
     def test_is_involution_and_automorphism(self):
         from coxangle.diagram import is_automorphism
