@@ -23,7 +23,6 @@ from . import weyl
 from .angle import Angle
 from .diagram import AutGroup, CoxeterDiagram
 from .errors import CoxangleError, ParseError
-from .geometry import realize
 from .tits import TitsDiagram
 
 EXIT_OK = 0
@@ -203,8 +202,7 @@ def _cmd_orbit(ns) -> tuple[str, int]:
     d = doc.diagram
     node = _want_node(ns, d)
     comp = diag.component_of(d, node)
-    r = realize(comp)
-    size = weyl.orbit_size(r, r.fundamental_weights[node], ns.orbit_budget)
+    size = weyl.orbit_size(comp, node, ns.orbit_budget)
     order = weyl.group_order(comp)
     rows = [[str(node), diag.type_name(comp), str(size), str(order)]]
     payload = {

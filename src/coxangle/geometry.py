@@ -118,14 +118,20 @@ def _solve(matrix: list[list[Fraction]], rhs_count: int) -> list[list[Fraction]]
     return [[aug[r][n + i] for r in range(n)] for i in range(rhs_count)]
 
 
-def realize(d: CoxeterDiagram) -> Realization:
-    """Exact realization of d; raises NonCrystallographic on H or I_2(m) parts."""
+def require_crystallographic(d: CoxeterDiagram) -> tuple[ComponentType, ...]:
+    """classify(d); raises NonCrystallographic on H or I_2(m) parts."""
     comps = diag.classify(d)
     bad = [ct.name for ct in comps if not ct.crystallographic]
     if bad:
         raise NonCrystallographic(
             f"components {bad} have no rational root-system realization"
         )
+    return comps
+
+
+def realize(d: CoxeterDiagram) -> Realization:
+    """Exact realization of d; raises NonCrystallographic on H or I_2(m) parts."""
+    comps = require_crystallographic(d)
     total_dim = 0
     blocks: list[tuple[ComponentType, int, dict[int, Vector]]] = []
     for ct in comps:

@@ -1,5 +1,5 @@
-"""Weyl-group computations on a realization: orbit enumeration, group order,
-longest elements, the opposition involution, and element orders.
+"""Weyl-group computations: orbit enumeration, group order, longest
+elements, the opposition involution, and element orders.
 
 The opposition involution is read from the component-type table, not
 from a realization. Longest elements and element orders serve the fold's
@@ -7,22 +7,24 @@ generators, which are built only when FoldResult.generators is read, and
 the test oracles; no CLI request builds them.
 
 Orbit enumeration serves the `orbit` command and the test oracles; the
-angle path uses a closed form instead. Orbit vectors are scaled to integer
-tuples so the BFS runs on plain int arithmetic with set-of-tuples
-deduplication; the scale also clears the denominators of the seed's coroot
-pairings, which keeps the walk exact for every rational seed (see _orbit).
-orbit_size counts the orbit without turning it into Fraction vectors. The
-default safety budget of 10^7 vectors clears the largest fundamental-weight
-orbit in rank 8 (483 840) with margin.
+angle path uses a closed form instead. One walk (_walk) enumerates W*lam in
+fundamental-weight coordinates with integer Cartan entries: it starts from
+the dominant weight, and each other weight has exactly one parent, so the
+walk is a reverse search that keeps no visited set. orbit_size counts the
+orbit of a fundamental weight on a Cartan matrix read off the bond labels,
+without realizing the diagram; weyl_orbit maps each weight back to an
+ambient vector. The default safety budget of 10^7 vectors clears the
+largest fundamental-weight orbit in rank 8 (483 840) with margin.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import diagram as diag
 from . import geometry as geom
@@ -38,13 +40,9 @@ from .geometry import Realization, Vector
 DEFAULT_ORBIT_BUDGET = 10_000_000
 ORBIT_BUDGET_ENV = "COXANGLE_ORBIT_BUDGET"
 
-_budget_override: Optional[int] = None
-
 
 def orbit_budget() -> int:
-    """Effective orbit cap: explicit override, else environment, else default."""
-    if _budget_override is not None:
-        return _budget_override
+    """Effective orbit cap: the environment variable, else the default."""
     env = os.environ.get(ORBIT_BUDGET_ENV)
     if env is not None:
         try:
@@ -52,12 +50,6 @@ def orbit_budget() -> int:
         except ValueError:
             pass
     return DEFAULT_ORBIT_BUDGET
-
-
-def set_orbit_budget(n: Optional[int]) -> None:
-    """Set (or with None, clear) the process-wide orbit budget override."""
-    global _budget_override
-    _budget_override = n
 
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -132,104 +124,107 @@ def group_order(d: CoxeterDiagram) -> int:
     return math.prod(k for ct in diag.classify(d) for k in ct.degrees)
 
 
-# (support of s*alpha, its nonzero entries, their squared norm, s)
-_Gen = tuple[tuple[int, ...], tuple[int, ...], int, int]
+def _diagram_cartan(d: CoxeterDiagram) -> list[list[int]]:
+    """A Cartan matrix of d in node order, read off the bond labels.
 
-
-def _orbit_ints(
-    seed: tuple[int, ...], gens: Sequence[_Gen], budget: int
-) -> set[tuple[int, ...]]:
-    """Integer orbit BFS; the scale chosen by _orbit keeps every step exact."""
-    seen = {seed}
-    frontier = [seed]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for support, avals, dd, _ in gens:
-                c = 0
-                for k in range(len(support)):
-                    c += u[support[k]] * avals[k]
-                c += c
-                if c == 0:
-                    continue
-                q, rem = divmod(c, dd)
-                if rem:
-                    raise AssertionError("unreachable")
-                v = list(u)
-                for k in range(len(support)):
-                    v[support[k]] -= q * avals[k]
-                tv = tuple(v)
-                if tv not in seen:
-                    if len(seen) >= budget:
-                        raise OrbitBudgetExceeded(
-                            f"orbit exceeded the safety budget of {budget} vectors"
-                        )
-                    seen.add(tv)
-                    nxt.append(tv)
-        frontier = nxt
-    return seen
-
-
-def _integer_gens(r: Realization) -> tuple[_Gen, ...]:
-    """One _Gen per simple root alpha, s the lcm of its denominators."""
-    gens = []
-    for i in r.simple_roots:
-        alpha = r.simple_roots[i]
-        scale = math.lcm(*(c.denominator for c in alpha))
-        avals_full = [int(c * scale) for c in alpha]
-        support = tuple(k for k, a in enumerate(avals_full) if a)
-        avals = tuple(avals_full[k] for k in support)
-        dd = sum(a * a for a in avals)
-        gens.append((support, avals, dd, scale))
-    return tuple(gens)
-
-
-def _orbit(
-    r: Realization, v: Vector, budget: Optional[int] = None
-) -> tuple[int, set[tuple[int, ...]]]:
-    """(scale, orbit of scale*v as integer tuples).
-
-    scale is L*P. L is the lcm of the denominators of v and of every simple
-    root; P is the lcm of the denominators of the coroot pairings
-    <v, alpha_i^vee>. The Cartan integers are integers, so every pairing
-    along the orbit stays in (1/P)Z, and each reflection moves scale*v by an
-    integer multiple of L*alpha_i: the walk is exact for every rational v.
-    A weight has P = 1. One lcm over all the denominators is not enough.
+    A_jk * A_kj is 1, 2, 3 for m = 3, 4, 6, the larger entry below the
+    diagonal. Every orientation gives the same W and parabolic subgroups.
     """
-    if len(v) != r.ambient_dim:
-        raise DimensionMismatch(
-            f"vector has dimension {len(v)}, ambient is {r.ambient_dim}"
-        )
+    geom.require_crystallographic(d)
+    bond = {2: 0, 3: 1, 4: 2, 6: 3}
+    return [
+        [2 if j == k else -bond[d.m(a, b)] if j > k else -min(bond[d.m(a, b)], 1)
+         for k, b in enumerate(d.nodes)]
+        for j, a in enumerate(d.nodes)
+    ]
+
+
+def _walk(
+    cartan: Sequence[Sequence[int]], lam: Sequence[int], budget: Optional[int]
+) -> Iterator[tuple[int, ...]]:
+    """Yield every element of W*lam once, in fundamental-weight coordinates.
+
+    s_j changes coordinate k by -mu_j * A_jk. The walk reflects lam to the
+    dominant chamber, then searches the tree in which the parent of a
+    non-dominant mu is s_j mu for the first j with mu_j < 0 (Humphreys,
+    Reflection Groups and Coxeter Groups, 1.12; Avis and Fukuda, Reverse
+    search for enumeration, 1996), so it keeps no visited set. Raises
+    OrbitBudgetExceeded at element budget + 1; one element never raises.
+    """
     if budget is None:
         budget = orbit_budget()
-    v = geom.as_vector(v)
-    gens = _integer_gens(r)
-    lcm = math.lcm(*(c.denominator for c in v), *(g[3] for g in gens))
-    u = tuple(int(c * lcm) for c in v)
-    # with a = s*alpha: <v, alpha^vee> = 2*s*(u . a) / (lcm * |a|^2)
-    pairing_lcm = math.lcm(*(
-        lcm * dd // math.gcd(2 * s * sum(u[k] * a for k, a in zip(support, avals)),
-                             lcm * dd)
-        for support, avals, dd, s in gens
-    ))
-    seed = tuple(c * pairing_lcm for c in u)
-    return lcm * pairing_lcm, _orbit_ints(seed, gens, budget)
+    limit = max(budget, 1)
+    rows = tuple(enumerate(cartan))
+    links = [[(k, a) for k, a in enumerate(row) if a] for row in cartan]
+    mu = tuple(lam)
+    while (j := next((j for j, c in enumerate(mu) if c < 0), -1)) >= 0:
+        mu = tuple(x - mu[j] * a for x, a in zip(mu, cartan[j]))
+    stack = [mu]
+    count = 0
+    while stack:
+        mu = stack.pop()
+        count += 1
+        if count > limit:
+            raise OrbitBudgetExceeded(f"orbit exceeded the safety budget of {budget} vectors")
+        yield mu
+        for j, row in rows:
+            c = mu[j]
+            if c <= 0:
+                continue
+            # s_j mu is a child when no coordinate before j is negative in it
+            for k in range(j):
+                if mu[k] < c * row[k]:
+                    break
+            else:
+                nu = list(mu)
+                for k, a in links[j]:
+                    nu[k] -= c * a
+                stack.append(tuple(nu))
 
 
 def weyl_orbit(r: Realization, v: Vector, budget: Optional[int] = None) -> frozenset[Vector]:
     """The full W-orbit {w·v}, closed under the simple reflections.
 
-    Vectors are deduplicated exactly. Raises OrbitBudgetExceeded beyond the
-    safety cap (default 10^7 vectors, see orbit_budget()).
+    v enters the walk through its coroot pairings, scaled by P, the lcm of
+    their denominators; each weight mu maps back to v_perp + (1/P) sum
+    mu_k omega_k, v_perp being the part of v fixed by W. Raises
+    OrbitBudgetExceeded beyond the safety cap (see orbit_budget()).
     """
-    scale, orbit = _orbit(r, v, budget)
-    inv = Fraction(1, scale)
-    return frozenset(tuple(inv * c for c in u) for u in orbit)
+    if len(v) != r.ambient_dim:
+        raise DimensionMismatch(
+            f"vector has dimension {len(v)}, ambient is {r.ambient_dim}"
+        )
+    v = geom.as_vector(v)
+    nodes = tuple(r.simple_roots)
+    cartan = [[int(geom.dot(r.simple_roots[j], r.coroots[k])) for k in nodes] for j in nodes]
+    weights = [r.fundamental_weights[k] for k in nodes]
+    pairings = [geom.dot(v, r.coroots[k]) for k in nodes]
+    p = math.lcm(*(c.denominator for c in pairings))
+    fixed = v
+    for c, w in zip(pairings, weights):
+        fixed = geom.vsub(fixed, geom.vscale(c, w))
+    q = math.lcm(*(c.denominator for u in weights + [fixed] for c in u))
+    base = [int(c * q * p) for c in fixed]
+    # cols[t] holds coordinate t of q*omega_k for every k
+    cols = [[int(w[t] * q) for w in weights] for t in range(len(v))]
+    points = [
+        tuple(b + sum(map(operator.mul, mu, col)) for b, col in zip(base, cols))
+        for mu in _walk(cartan, [int(c * p) for c in pairings], budget)
+    ]
+    # few numerators recur across the orbit, so each Fraction is built once
+    frac = {n: Fraction(n, q * p) for n in {n for u in points for n in u}}
+    return frozenset(tuple(map(frac.__getitem__, u)) for u in points)
 
 
-def orbit_size(r: Realization, v: Vector, budget: Optional[int] = None) -> int:
-    """len(weyl_orbit(r, v, budget)), without building the Fraction vectors."""
-    return len(_orbit(r, v, budget)[1])
+def orbit_size(d: CoxeterDiagram, node: int, budget: Optional[int] = None) -> int:
+    """|W·omega_node|, counted by walking the orbit; nothing is realized.
+
+    The walk runs on a Cartan matrix read off the bond labels of the
+    component of node, which must be crystallographic.
+    """
+    comp = diag.component_of(d, node)
+    lam = [int(i == node) for i in comp.nodes]
+    return sum(1 for _ in _walk(_diagram_cartan(comp), lam, budget))
 
 
 def longest_element(r: Realization, nodes: Optional[Iterable[int]] = None) -> OrthogonalElement:

@@ -3,10 +3,15 @@
 These deliberately avoid the library's orbit/longest-element machinery:
 the full group is enumerated as ambient matrices by closure, so tests can
 compare the production algorithms against an independent computation.
+orbit_scan_max_cos is the exception: it reuses the library's orbit walk,
+but reads each angle off the Gram matrix of the realized weights, not off
+the closed form it checks.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from fractions import Fraction
 
 from coxangle import diagram as diag
@@ -16,7 +21,16 @@ from coxangle.diagram import AutGroup, CoxeterDiagram, Permutation
 
 
 def full_group_matrices(r: geom.Realization) -> frozenset:
-    """Every element of W as an ambient matrix, by right-multiplication closure."""
+    """Every element of W as an ambient matrix, by right-multiplication closure.
+
+    realize is deterministic, so the group is built once per diagram.
+    """
+    return _full_group(r.diagram)
+
+
+@functools.lru_cache(maxsize=None)
+def _full_group(d: CoxeterDiagram) -> frozenset:
+    r = geom.realize(d)
     gens = [weyl.reflection_element(r, i).matrix for i in r.simple_roots]
     ident = weyl._identity_matrix(r.ambient_dim)
     seen = {ident}
@@ -47,17 +61,22 @@ def brute_max_cos(r: geom.Realization, i: int) -> Fraction:
 def orbit_scan_max_cos(comp: CoxeterDiagram, i: int) -> Fraction:
     """Best cosine between omega_i and another vector of its Weyl orbit.
 
-    Realizes the component and scans the whole orbit on scaled integer
-    vectors; an independent check of the closed form in
-    tits.angular_distance.
+    Realizes the component and scans the whole orbit in fundamental-weight
+    coordinates: (omega_i, sum mu_k omega_k) is the Gram row of omega_i,
+    scaled to integers, dotted with mu. An independent check of the closed
+    form in tits.angular_distance.
     """
     r = geom.realize(comp)
+    nodes = tuple(r.simple_roots)
     w = r.fundamental_weights[i]
-    scale, orbit = weyl._orbit(r, w)
-    seed = tuple(int(c * scale) for c in w)
-    norm = sum(c * c for c in seed)
-    best = max(sum(a * b for a, b in zip(seed, x)) for x in orbit if x != seed)
-    return Fraction(best, norm)
+    gram = [geom.dot(w, r.fundamental_weights[k]) for k in nodes]
+    scale = math.lcm(*(g.denominator for g in gram))
+    row = [int(g * scale) for g in gram]
+    seed = tuple(int(k == i) for k in nodes)
+    cartan = [[int(geom.dot(r.simple_roots[j], r.coroots[k])) for k in nodes] for j in nodes]
+    orbit = weyl._walk(cartan, seed, None)
+    best = max(sum(a * b for a, b in zip(row, mu)) for mu in orbit if mu != seed)
+    return Fraction(best, row[nodes.index(i)])
 
 
 def brute_longest(r: geom.Realization):

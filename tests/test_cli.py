@@ -189,6 +189,28 @@ class TestOrbitCommand:
                               "--orbit-budget", "5")
         assert code == EXIT_DOMAIN
 
+    def test_budget_flag_boundary(self, invoke):
+        # the E6 node 2 orbit has 72 weights
+        args = ("orbit", "--diagram", "E6", "--node", "2", "--orbit-budget")
+        code, out, _ = invoke(*args, "72")
+        assert code == EXIT_OK
+        assert out.splitlines()[2].split() == ["2", "E6", "72", "51840"]
+        code, out, err = invoke(*args, "71")
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err == "error: orbit exceeded the safety budget of 71 vectors\n"
+
+    def test_every_e8_node_gives_index_of_parabolic(self, invoke):
+        from coxangle.diagram import builtin, restrict
+        from coxangle.weyl import group_order
+
+        d = builtin("E8")
+        for i in d.nodes:
+            code, out, _ = invoke("orbit", "--diagram", "E8", "--node", str(i),
+                                  "--format", "json")
+            assert code == EXIT_OK
+            stab = group_order(restrict(d, [j for j in d.nodes if j != i]))
+            assert json.loads(out)["orbit_size"] == group_order(d) // stab, i
+
     def test_budget_restored_after_run(self, invoke):
         invoke("orbit", "--diagram", "E6", "--node", "2", "--orbit-budget", "5")
         assert orbit_budget() == DEFAULT_ORBIT_BUDGET
@@ -400,6 +422,12 @@ class TestRequestPathBuildsNoMatrix:
     @pytest.mark.parametrize("fmt", ["table", "json"])
     def test_e6_flip_spec(self, invoke, matrix_calls, tmp_path, command, fmt):
         code, _, _ = invoke(command, write(tmp_path, E6_FLIP_SPEC), "--format", fmt)
+        assert code == EXIT_OK
+        assert matrix_calls == {"realize": 0, "longest_element": 0, "element_order": 0}
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_orbit_e7(self, invoke, matrix_calls, fmt):
+        code, _, _ = invoke("orbit", "--diagram", "E7", "--node", "4", "--format", fmt)
         assert code == EXIT_OK
         assert matrix_calls == {"realize": 0, "longest_element": 0, "element_order": 0}
 

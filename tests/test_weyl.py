@@ -7,7 +7,7 @@ import pytest
 
 import helpers
 from coxangle.diagram import builtin, classify, new_diagram, restrict
-from coxangle.errors import OrbitBudgetExceeded, OrderBudgetExceeded
+from coxangle.errors import NonCrystallographic, OrbitBudgetExceeded, OrderBudgetExceeded
 from coxangle.geometry import dot, realize, root_coefficients, vscale
 from coxangle.weyl import (
     DEFAULT_ORBIT_BUDGET,
@@ -21,7 +21,6 @@ from coxangle.weyl import (
     orbit_budget,
     orbit_size,
     reflection_element,
-    set_orbit_budget,
     weyl_orbit,
 )
 
@@ -114,8 +113,9 @@ class TestOrbits:
         group = helpers.full_group_matrices(r)
         for v in seeds:
             want = frozenset(_mat_vec(m, v) for m in group)
-            assert weyl_orbit(r, v) == want
-            assert orbit_size(r, v) == len(want)
+            got = weyl_orbit(r, v)
+            assert got == want
+            assert len(got) == len(want)
 
     def test_e8_unit_vector_orbit(self):
         # e_1 pairs to 1/2 with the half-integer roots of E8, so it is not a
@@ -124,7 +124,7 @@ class TestOrbits:
         e1 = (Fraction(1),) + (Fraction(0),) * 7
         assert any(dot(e1, c).denominator > 1 for c in r.coroots.values())
         want = group_order(builtin("E8")) // group_order(builtin("D7"))
-        assert orbit_size(r, e1) == 2160 == want
+        assert len(weyl_orbit(r, e1)) == 2160 == want
 
     def test_budget_exceeded(self):
         r = realize(builtin("E6"))
@@ -138,33 +138,50 @@ class TestOrbits:
         for i in d.nodes:
             w = r.fundamental_weights[i]
             stab = group_order(restrict(d, [j for j in d.nodes if j != i]))
-            assert orbit_size(r, w) == len(weyl_orbit(r, w)) == group_order(d) // stab
+            assert orbit_size(d, i) == len(weyl_orbit(r, w)) == group_order(d) // stab
 
     def test_budget_argument_wins(self):
         r = realize(builtin("A3"))
         assert len(weyl_orbit(r, r.fundamental_weights[1], budget=100)) == 4
+
+    def test_budget_boundary(self):
+        # the E6 node 2 orbit has 72 weights: a budget of 72 admits it
+        d = builtin("E6")
+        r = realize(d)
+        assert orbit_size(d, 2, budget=72) == 72
+        assert len(weyl_orbit(r, r.fundamental_weights[2], budget=72)) == 72
+        with pytest.raises(OrbitBudgetExceeded, match="budget of 71 vectors"):
+            orbit_size(d, 2, budget=71)
+        with pytest.raises(OrbitBudgetExceeded):
+            weyl_orbit(r, r.fundamental_weights[2], budget=71)
+
+    def test_one_element_orbit_never_exceeds(self):
+        r = realize(builtin("B3"))
+        assert weyl_orbit(r, (0, 0, 0), budget=0) == {(Fraction(0),) * 3}
+
+    @pytest.mark.parametrize("name", ["H3", "H4", "I2(5)"])
+    def test_orbit_size_refuses_noncrystallographic(self, name):
+        with pytest.raises(NonCrystallographic) as info:
+            orbit_size(builtin(name), 1)
+        with pytest.raises(NonCrystallographic) as want:
+            realize(builtin(name))
+        assert str(info.value) == str(want.value)
+
+    def test_orbit_size_walks_only_the_node_component(self):
+        # W(H3) fixes the weights of the A2 component, so H3 does not matter
+        d = new_diagram([1, 2, 3, 4, 5], [(1, 2, 5), (2, 3, 3), (4, 5, 3)])
+        assert orbit_size(d, 4) == 3
+        with pytest.raises(NonCrystallographic):
+            orbit_size(d, 1)
 
 
 class TestBudgetConfig:
     def test_default(self):
         assert orbit_budget() == DEFAULT_ORBIT_BUDGET
 
-    def test_override(self):
-        set_orbit_budget(123)
-        try:
-            assert orbit_budget() == 123
-        finally:
-            set_orbit_budget(None)
-        assert orbit_budget() == DEFAULT_ORBIT_BUDGET
-
     def test_env(self, monkeypatch):
         monkeypatch.setenv(ORBIT_BUDGET_ENV, "4567")
         assert orbit_budget() == 4567
-        set_orbit_budget(99)
-        try:
-            assert orbit_budget() == 99  # explicit override beats env
-        finally:
-            set_orbit_budget(None)
 
     def test_bad_env_ignored(self, monkeypatch):
         monkeypatch.setenv(ORBIT_BUDGET_ENV, "not-a-number")
