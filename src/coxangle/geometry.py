@@ -189,28 +189,3 @@ def reflect(r: Realization, i: int, v: Vector) -> Vector:
     if c == 0:
         return v
     return vsub(v, vscale(c, r.simple_roots[i]))
-
-
-def all_roots(r: Realization) -> frozenset[Vector]:
-    """The full root set: reflection closure of the simple roots."""
-    seen: set[Vector] = set(r.simple_roots.values())
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for i in r.simple_roots:
-                w = reflect(r, i, v)
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return frozenset(seen)
-
-
-def root_coefficients(r: Realization, v: Vector) -> dict[int, Fraction]:
-    """Coordinates of v in the simple-root basis (v must lie in the span)."""
-    out = {}
-    for j, alpha in r.simple_roots.items():
-        norm = dot(alpha, alpha)
-        out[j] = Fraction(2) * dot(v, r.fundamental_weights[j]) / norm
-    return out

@@ -3,11 +3,11 @@ subdiagrams, angular distance, minimal angle, and the pi/3 trichotomy.
 
 A request validates its diagram once. The public entry points
 (minimal_angle_report, rank_one_subdiagrams, relative_rank, and
-fold.fold_tits) check their input; the internal paths behind them
-(_report_valid, _rank_one_subdiagrams) take a diagram that is already
-valid, so enumerate_indices validates each candidate only once. A
-trivial Gamma is never folded on the angle path, and enumerate_indices
-folds (M, Gamma) once for all of its kernels.
+fold.fold_tits) check their input; _rank_one_subdiagrams takes a diagram
+that is already valid. enumerate_indices calls no validate at all: its
+search checks the opposition clause of each isotropic orbit itself and
+prunes on the first failure, and it folds (M, Gamma) once for all of its
+kernels. A trivial Gamma is never folded on the angle path.
 
 The angular distance at a node only depends on its connected component (the
 Weyl group acts componentwise and the fundamental weight lies in the
@@ -22,14 +22,13 @@ from a type table, and nothing is realized.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
 from . import diagram as diag
 from . import weyl
-from .fold import FoldResult, fold
+from .fold import fold
 from .angle import PI, Angle, Verdict, verdict_against_pi_over_3
 from .diagram import AutGroup, CoxeterDiagram
 from .errors import (
@@ -232,25 +231,15 @@ def angular_distance(d: CoxeterDiagram, i: int) -> Angle:
 
 
 def minimal_angle_report(t: TitsDiagram) -> tuple[Angle, list[tuple[int, ...]]]:
-    """Minimal angle plus the isotropic orbits achieving it (tie diagnostics)."""
-    ensure_valid(t)
-    return _report_valid(t)
+    """Minimal angle plus the isotropic orbits achieving it (tie diagnostics).
 
-
-def _report_valid(
-    t: TitsDiagram, folding: Optional[FoldResult] = None
-) -> tuple[Angle, list[tuple[int, ...]]]:
-    """minimal_angle_report of an already valid t.
-
-    folding is the fold of (M, Gamma) when the caller holds it; otherwise a
-    nontrivial Gamma is folded here. A trivial Gamma is not folded at all:
-    its fold is M itself.
+    A trivial Gamma is not folded: its fold is M itself.
     """
-    if folding is None and not t.gamma.is_trivial:
-        folding = fold(t.diagram, t.gamma)
-    if folding is None:
+    ensure_valid(t)
+    if t.gamma.is_trivial:
         folded, node_map = t, {i: i for i in t.diagram.nodes}
     else:
+        folding = fold(t.diagram, t.gamma)
         node_map = folding.node_map
         folded = TitsDiagram(
             folding.folded,
@@ -285,6 +274,10 @@ def admissibility(t: TitsDiagram) -> Verdict:
     return verdict_against_pi_over_3(minimal_angle(t))
 
 
+# (isotropic orbit O, the orbits of its component C in A u O), as orbit indices
+_Key = tuple[int, frozenset[int]]
+
+
 def enumerate_indices(
     d: CoxeterDiagram, g: AutGroup, rel_rank: Optional[int] = None
 ) -> list[tuple[TitsDiagram, Angle, Verdict]]:
@@ -295,28 +288,125 @@ def enumerate_indices(
     an algebraic group with that index exists over some field. Deterministic
     order: sorted A, lexicographically.
 
-    Each candidate is validated once. The fold of (d, g) does not depend on
-    A, so it is computed on the first valid kernel and shared by the rest;
-    it stays lazy so that a diagram with no valid kernel is never folded.
+    Kernels are found by a depth-first search that decides the
+    Gamma-orbits in a fixed order (see _search_kernels), each into A or
+    isotropic. The opposition clause of an isotropic orbit O depends only
+    on C, the component of A u O that meets O, so it is checked as soon as
+    every orbit next to C is decided, and a failing clause prunes the
+    branch; rel_rank prunes once it cannot be met.
+    The clause is memoized per (O, C), and so is O's angular distance, which
+    is read in the folded diagram on the image of C. The fold of (d, g) does
+    not depend on A; it is computed once, and only if some kernel is valid.
+    Angles are computed kernel by kernel, fewest anisotropic orbits first,
+    so a non-crystallographic component raises at the same kernel as a
+    plain loop over the candidates would.
     """
     diag.check_automorphisms(d, g)
     orbits = diag.orbits(d, g)
-    folding: Optional[FoldResult] = None
+    if rel_rank is not None and not 0 < rel_rank <= len(orbits):
+        return []
+    TitsDiagram(d, g, frozenset())  # the domain check every row makes
+    kernels = _search_kernels(d, orbits, rel_rank)
+    if kernels and not g.is_trivial:
+        folding = fold(d, g)
+        folded, node_map = folding.folded, folding.node_map
+    else:
+        folded, node_map = d, {i: i for i in d.nodes}
+    angles: dict[_Key, Angle] = {}
+
+    def angle_at(key: _Key) -> Angle:
+        if key not in angles:
+            o, comp = key
+            sub = diag.restrict(folded, {node_map[orbits[p][0]] for p in comp})
+            angles[key] = angular_distance(sub, node_map[orbits[o][0]])
+        return angles[key]
+
     results = []
-    for take in range(len(orbits)):
-        if rel_rank is not None and len(orbits) - take != rel_rank:
-            continue
-        for combo in itertools.combinations(orbits, take):
-            kernel = frozenset(i for orbit in combo for i in orbit)
-            t = TitsDiagram(d, g, kernel)
-            if not validate(t).ok:
-                continue
-            if folding is None and not g.is_trivial:
-                folding = fold(d, g)
-            angle = _report_valid(t, folding)[0]
-            results.append((t, angle, verdict_against_pi_over_3(angle)))
+    for in_a, keys in sorted(kernels, key=lambda k: (len(k[0]), k[0])):
+        angle = min(angle_at(key) for key in keys)
+        kernel = frozenset(i for p in in_a for i in orbits[p])
+        results.append((TitsDiagram(d, g, kernel), angle, verdict_against_pi_over_3(angle)))
     results.sort(key=lambda row: tuple(sorted(row[0].anisotropic)))
     return results
+
+
+def _search_kernels(
+    d: CoxeterDiagram, orbits: tuple[tuple[int, ...], ...], rel_rank: Optional[int]
+) -> list[tuple[tuple[int, ...], list[_Key]]]:
+    """Valid kernels of enumerate_indices, as the indices of their orbits in
+    A and the keys (O, C) of their isotropic orbits O in orbit order; see
+    there.
+
+    C is a set of orbit indices: O and the orbits of A joined to it through
+    A. Orbits are decided in breadth-first order over the orbit graph,
+    from an orbit with the fewest neighbours (an end of a path), so that
+    each component closes soon whatever the node labels. The search
+    keeps an explicit stack, so its depth is not bounded by Python's
+    recursion limit.
+    """
+    index = {i: p for p, orbit in enumerate(orbits) for i in orbit}
+    adjacent = [
+        sorted({index[j] for i in orbit for j in d.neighbors(i)} - {p})
+        for p, orbit in enumerate(orbits)
+    ]
+    order: list[int] = []
+    for start in sorted(range(len(orbits)), key=lambda p: len(adjacent[p])):
+        if start in order:
+            continue
+        k = len(order)
+        order.append(start)
+        while k < len(order):
+            order += [q for q in adjacent[order[k]] if q not in order]
+            k += 1
+    step = {p: k for k, p in enumerate(order)}
+    clause: dict[_Key, bool] = {}
+
+    def component(o: int, in_a: tuple[bool, ...]) -> Optional[frozenset[int]]:
+        """C for the isotropic orbit o, or None while an orbit next to it is
+        undecided; in_a holds the decisions in search order."""
+        seen, stack = {o}, [o]
+        while stack:
+            for q in adjacent[stack.pop()]:
+                if step[q] >= len(in_a):
+                    return None
+                if in_a[step[q]] and q not in seen:
+                    seen.add(q)
+                    stack.append(q)
+        return frozenset(seen)
+
+    def holds(key: _Key) -> bool:
+        if key not in clause:
+            o, comp = key
+            sigma = weyl.opposition(diag.restrict(d, [i for p in comp for i in orbits[p]]))
+            clause[key] = {sigma(i) for i in orbits[o]} == set(orbits[o])
+        return clause[key]
+
+    found = []
+    # (decisions so far, isotropic orbits whose C is still open, keys of the closed ones)
+    stack: list[tuple[tuple[bool, ...], tuple[int, ...], tuple]] = [((), (), ())]
+    while stack:
+        in_a, open_, keys = stack.pop()
+        still_open = []
+        for o in open_:
+            comp = component(o, in_a)
+            if comp is None:
+                still_open.append(o)
+            elif holds((o, comp)):
+                keys += ((o, comp),)
+            else:
+                break
+        else:
+            depth, isotropic = len(in_a), in_a.count(False)
+            if depth == len(orbits):
+                if isotropic:
+                    kernel = tuple(sorted(order[k] for k, a in enumerate(in_a) if a))
+                    found.append((kernel, sorted(keys)))
+                continue
+            if rel_rank is None or depth - isotropic < len(orbits) - rel_rank:
+                stack.append((in_a + (True,), tuple(still_open), keys))
+            if rel_rank is None or isotropic < rel_rank:
+                stack.append((in_a + (False,), (*still_open, order[depth]), keys))
+    return found
 
 
 @dataclass(frozen=True)

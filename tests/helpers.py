@@ -5,18 +5,22 @@ the full group is enumerated as ambient matrices by closure, so tests can
 compare the production algorithms against an independent computation.
 orbit_scan_max_cos is the exception: it reuses the library's orbit walk,
 but reads each angle off the Gram matrix of the realized weights, not off
-the closed form it checks.
+the closed form it checks. brute_enumerate validates every candidate
+kernel, where tits.enumerate_indices searches with pruning.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 
 from coxangle import diagram as diag
 from coxangle import geometry as geom
+from coxangle import tits as tits_mod
 from coxangle import weyl
+from coxangle.angle import verdict_against_pi_over_3
 from coxangle.diagram import AutGroup, CoxeterDiagram, Permutation
 
 
@@ -79,11 +83,36 @@ def orbit_scan_max_cos(comp: CoxeterDiagram, i: int) -> Fraction:
     return Fraction(best, row[nodes.index(i)])
 
 
+def all_roots(r: geom.Realization) -> frozenset:
+    """The full root set: reflection closure of the simple roots."""
+    seen = set(r.simple_roots.values())
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for i in r.simple_roots:
+                w = geom.reflect(r, i, v)
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return frozenset(seen)
+
+
+def root_coefficients(r: geom.Realization, v) -> dict[int, Fraction]:
+    """Coordinates of v in the simple-root basis (v must lie in the span)."""
+    out = {}
+    for j, alpha in r.simple_roots.items():
+        norm = geom.dot(alpha, alpha)
+        out[j] = Fraction(2) * geom.dot(v, r.fundamental_weights[j]) / norm
+    return out
+
+
 def brute_longest(r: geom.Realization):
     """w_0 as the unique element sending every simple root to a negative root."""
     for m in full_group_matrices(r):
         if all(
-            all(c <= 0 for c in geom.root_coefficients(r, weyl._mat_vec(m, alpha)).values())
+            all(c <= 0 for c in root_coefficients(r, weyl._mat_vec(m, alpha)).values())
             for alpha in r.simple_roots.values()
         ):
             return m
@@ -122,6 +151,26 @@ def realized_opposition(d: CoxeterDiagram) -> dict[int, int]:
         for i, alpha in r.simple_roots.items():
             out[i] = negated[w0.apply(alpha)]
     return out
+
+
+def brute_enumerate(d: CoxeterDiagram, g: AutGroup, rel_rank=None) -> list:
+    """tits.enumerate_indices as an exhaustive loop: every union of
+    Gamma-orbits but the whole node set, fewest orbits first, validated and
+    then measured one by one.
+    """
+    diag.check_automorphisms(d, g)
+    orbits = diag.orbits(d, g)
+    results = []
+    for take in range(len(orbits)):
+        if rel_rank is not None and len(orbits) - take != rel_rank:
+            continue
+        for combo in itertools.combinations(orbits, take):
+            t = tits_mod.TitsDiagram(d, g, frozenset(i for orbit in combo for i in orbit))
+            if tits_mod.validate(t).ok:
+                angle = tits_mod.minimal_angle(t)
+                results.append((t, angle, verdict_against_pi_over_3(angle)))
+    results.sort(key=lambda row: tuple(sorted(row[0].anisotropic)))
+    return results
 
 
 def relabeled(d: CoxeterDiagram, rng) -> CoxeterDiagram:

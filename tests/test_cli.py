@@ -253,6 +253,27 @@ class TestEnumerateCommand:
             assert "radians_approx" in angle
             assert ("cos" in angle) != ("pi_fraction" in angle)
 
+    @pytest.mark.parametrize("rel_rank", ["0", "-1", "4"])
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    def test_unreachable_rel_rank_is_empty(self, invoke, rel_rank, fmt):
+        # A3 has three orbits, so relative rank 4 cannot occur
+        code, out, err = invoke("enumerate", "--diagram", "A3",
+                                f"--rel-rank={rel_rank}", "--format", fmt)
+        assert (code, err) == (EXIT_OK, "")
+        if fmt == "json":
+            assert json.loads(out)["entries"] == []
+        else:
+            assert len(out.strip().splitlines()) == (2 if fmt == "table" else 1)
+
+    @pytest.mark.parametrize("name,kernels", [
+        ("A16", [[]]),
+        ("A24", [[], [i for i in range(1, 25) if i % 5]]),
+    ])
+    def test_large_type_a(self, invoke, name, kernels):
+        code, out, _ = invoke("enumerate", "--diagram", name, "--format", "json")
+        assert code == EXIT_OK
+        assert [e["anisotropic"] for e in json.loads(out)["entries"]] == kernels
+
 
 class TestCatalogCommand:
     def test_all_pass_exit_zero(self, invoke):
@@ -343,20 +364,20 @@ def counted(monkeypatch):
 
 
 class TestWorkOncePerRequest:
-    def test_enumerate_builtin_validates_each_candidate_once(self, invoke, counted):
+    def test_enumerate_builtin_never_validates(self, invoke, counted):
         code, out, _ = invoke("enumerate", "--diagram", "A3", "--format", "json")
         assert code == EXIT_OK and len(json.loads(out)["entries"]) == 2
-        # 2^3 - 1 candidate kernels (A = I excluded), trivial gamma never folded
-        assert counted == {"validate": 7, "fold": 0}
+        # the search checks opposition clauses itself; trivial gamma never folded
+        assert counted == {"validate": 0, "fold": 0}
 
-    def test_enumerate_spec_adds_one_validation_and_folds_once(
+    def test_enumerate_spec_validates_once_and_folds_once(
         self, invoke, counted, tmp_path
     ):
         path = write(tmp_path, "diagram D5\ngamma (4 5)\n")
         code, out, _ = invoke("enumerate", path, "--format", "json")
         assert code == EXIT_OK and len(json.loads(out)["entries"]) > 1
-        # four orbits: 15 candidates, plus the spec's own validation
-        assert counted == {"validate": 16, "fold": 1}
+        # only the spec's own validation
+        assert counted == {"validate": 1, "fold": 1}
 
     def test_enumerate_with_no_valid_kernel_never_folds(self, invoke, counted, tmp_path):
         # two swapped I2(5): the rank-one kernels {1, 3} and {2, 4} both break

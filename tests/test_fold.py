@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import math
 import random
 
@@ -17,29 +18,32 @@ from coxangle.diagram import (
 )
 from coxangle.errors import NonCrystallographic, NotAnAutomorphism
 from coxangle.fold import FoldResult, _positive_roots, fold, fold_tits
-from coxangle.geometry import realize
+from coxangle.geometry import realize, vadd
 from coxangle.tits import TitsDiagram
 from coxangle.weyl import (
-    _identity_matrix,
-    _mat_mul,
     element_order,
     group_order,
     longest_element,
 )
 
 
-def closure_order(gens) -> int:
-    mats = [g.matrix for g in gens]
-    seen = {_identity_matrix(gens[0].dim)}
-    frontier = list(seen)
+def closure_order(res: FoldResult) -> int:
+    """Order of the group generated by res.generators: the size of the orbit
+    of rho, the sum of the fundamental weights. rho is regular, so its
+    stabilizer in W, and in any subgroup, is trivial."""
+    r = realize(res.diagram)
+    rho = functools.reduce(vadd, r.fundamental_weights.values())
+    gens = list(res.generators.values())
+    seen = {rho}
+    frontier = [rho]
     while frontier:
         nxt = []
-        for m in frontier:
-            for g in mats:
-                p = _mat_mul(m, g)
-                if p not in seen:
-                    seen.add(p)
-                    nxt.append(p)
+        for v in frontier:
+            for g in gens:
+                w = g.apply(v)
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
         frontier = nxt
     return len(seen)
 
@@ -72,13 +76,13 @@ class TestFoldTable:
     def test_fixed_subgroup_has_folded_order(self, name, cycles, ftype, edges):
         d = builtin(name)
         res = fold(d, helpers.gen_group(d, cycles))
-        assert closure_order(list(res.generators.values())) == group_order(res.folded)
+        assert closure_order(res) == group_order(res.folded)
 
     def test_disjoint_components_identified(self):
         d = new_diagram([1, 2, 3, 4], [(1, 2, 3), (3, 4, 3)])
         res = fold(d, helpers.gen_group(d, [(1, 3), (2, 4)]))
         assert type_name(res.folded) == "A2"
-        assert closure_order(list(res.generators.values())) == 6
+        assert closure_order(res) == 6
 
 
 class TestNodeMap:
@@ -193,7 +197,7 @@ class TestGammaCommutation:
 
     @pytest.mark.parametrize("name,cycles", SIMPLY_LACED)
     def test_generators_commute_with_gamma(self, name, cycles):
-        from coxangle.geometry import realize, root_coefficients, vadd, vscale
+        from coxangle.geometry import vscale
         from fractions import Fraction
 
         d = builtin(name)
@@ -202,7 +206,7 @@ class TestGammaCommutation:
         res = fold(d, g)
 
         def permute(p, v):
-            coeffs = root_coefficients(r, v)
+            coeffs = helpers.root_coefficients(r, v)
             out = tuple(Fraction(0) for _ in range(r.ambient_dim))
             for j, c in coeffs.items():
                 out = vadd(out, vscale(c, r.simple_roots[p(j)]))

@@ -4,15 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+import helpers
 from coxangle.diagram import builtin, new_diagram
 from coxangle.errors import DimensionMismatch, NonCrystallographic, UnknownNode
 from coxangle.geometry import (
-    all_roots,
     as_vector,
     dot,
     realize,
     reflect,
-    root_coefficients,
     vadd,
     vscale,
     vsub,
@@ -35,7 +34,7 @@ class TestRealize:
     @pytest.mark.parametrize("name", sorted(ROOT_COUNTS))
     def test_root_count(self, name):
         r = realize(builtin(name))
-        assert len(all_roots(r)) == ROOT_COUNTS[name]
+        assert len(helpers.all_roots(r)) == ROOT_COUNTS[name]
 
     @pytest.mark.parametrize("name", sorted(ROOT_COUNTS))
     def test_gram_matrix_encodes_bond_labels(self, name):
@@ -121,20 +120,20 @@ class TestRootCoefficients:
         d = builtin(name)
         r = realize(d)
         for i in d.nodes:
-            coeffs = root_coefficients(r, r.simple_roots[i])
+            coeffs = helpers.root_coefficients(r, r.simple_roots[i])
             assert coeffs == {j: Fraction(int(i == j)) for j in d.nodes}
 
     def test_all_roots_have_one_sign(self):
         r = realize(builtin("B3"))
-        for root in all_roots(r):
-            cs = list(root_coefficients(r, root).values())
+        for root in helpers.all_roots(r):
+            cs = list(helpers.root_coefficients(r, root).values())
             assert all(c >= 0 for c in cs) or all(c <= 0 for c in cs)
             assert all(c.denominator == 1 for c in cs)
 
     def test_highest_root_e8(self):
         r = realize(builtin("E8"))
-        roots = all_roots(r)
-        height = lambda v: sum(root_coefficients(r, v).values())
+        roots = helpers.all_roots(r)
+        height = lambda v: sum(helpers.root_coefficients(r, v).values())
         top = max(roots, key=height)
         assert height(top) == 29  # sum of marks 2,3,4,6,5,4,3,2
 

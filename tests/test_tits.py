@@ -3,6 +3,7 @@ from __future__ import annotations
 import functools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +18,9 @@ from coxangle.diagram import (
     diagram_automorphisms,
     new_diagram,
 )
+from coxangle.dsl import parse_spec
 from coxangle.errors import (
+    CoxangleError,
     InvalidEntry,
     InvalidTitsDiagram,
     NonCrystallographic,
@@ -276,6 +279,7 @@ RANK_3_TO_8 = (
     + [f"D{n}" for n in range(4, 9)] + ["E6", "E7", "E8", "F4"]
 )
 RANK_UP_TO_8 = ["A1", "A2", "B2", "G2"] + RANK_3_TO_8
+SPECS = Path(__file__).resolve().parents[1] / "bench" / "specs"
 
 
 class TestClosedFormAngle:
@@ -471,6 +475,91 @@ class TestEnumerate:
             assert validate(t).ok
             assert minimal_angle(t) == a
             assert admissibility(t) is v
+
+
+def _groups(d) -> list:
+    """The trivial group, every distinct cyclic subgroup of the automorphism
+    group, and the full group."""
+    full = diagram_automorphisms(d)
+    groups = [AutGroup.trivial(d.nodes)]
+    seen = {groups[0].elements()}
+    for p in sorted(full.elements(), key=lambda p: p.mapping) + [None]:
+        g = full if p is None else AutGroup.generated_by([p], d.nodes)
+        if g.elements() not in seen:
+            seen.add(g.elements())
+            groups.append(g)
+    return groups
+
+
+def _enumerate_cases() -> list:
+    cases = []
+    for name in RANK_UP_TO_8 + ["H3", "H4", "I2(5)", "I2(8)", "A2+A2", "A3+A3",
+                                "D4+A3", "G2+E6", "I2(5)+I2(5)"]:
+        d = builtin(name)
+        cases += [pytest.param(d, g, id=f"{name}-{k}") for k, g in enumerate(_groups(d))]
+    for seed, name in enumerate(["E6", "D4+A3", "A3+A3"]):
+        d = helpers.relabeled(builtin(name), random.Random(seed))
+        cases += [pytest.param(d, g, id=f"{name}-relabelled-{k}")
+                  for k, g in enumerate(_groups(d))]
+    for path in sorted(SPECS.glob("enum-*.spec")):
+        doc = parse_spec(path.read_text(), str(path))
+        cases.append(pytest.param(doc.diagram, doc.payload.gamma, id=path.stem))
+    return cases
+
+
+def _outcome(enumerate_fn, d, g, rel_rank):
+    try:
+        return enumerate_fn(d, g, rel_rank)
+    except CoxangleError as e:
+        return type(e).__name__, str(e)
+
+
+class TestEnumerateSearch:
+    """The pruned search against the exhaustive loop, and closed forms."""
+
+    @pytest.mark.parametrize("d,g", _enumerate_cases())
+    def test_matches_brute_enumerate(self, d, g):
+        for rel_rank in (None, 1, 2):
+            want = _outcome(helpers.brute_enumerate, d, g, rel_rank)
+            assert _outcome(enumerate_indices, d, g, rel_rank) == want, rel_rank
+
+    def test_noncrystallographic_kernel_raises(self):
+        # the first kernel with a rank-one H3 component is {1, 2}
+        d = builtin("H3")
+        with pytest.raises(NonCrystallographic, match="type H3$"):
+            enumerate_indices(d, AutGroup.trivial(d.nodes))
+
+    def test_gamma_on_another_node_order_is_refused(self):
+        d = builtin("A3")
+        g = AutGroup((3, 2, 1), ())
+        for enumerate_fn in (enumerate_indices, helpers.brute_enumerate):
+            with pytest.raises(InvalidEntry):
+                enumerate_fn(d, g, 2)
+            assert enumerate_fn(d, g, 0) == []
+
+    @pytest.mark.parametrize("n,relabel", [(n, False) for n in range(1, 31)]
+                             + [(11, True), (24, True)])
+    def test_inner_type_a_kernels(self, n, relabel):
+        # Tits 1966: the kernels of inner A_n are the complements of
+        # {d, 2d, ...} for the divisors d <= n of n + 1
+        d = builtin(f"A{n}")
+        label = {i: i for i in d.nodes}
+        if relabel:
+            label = dict(zip(d.nodes, random.Random(n).sample(range(1, 101), n)))
+            d = new_diagram(label.values(), [(label[i], label[j], m) for i, j, m in d.edges])
+        rows = enumerate_indices(d, AutGroup.trivial(d.nodes))
+        want = sorted(
+            tuple(sorted(label[i] for i in range(1, n + 1) if i % k))
+            for k in range(1, n + 1) if (n + 1) % k == 0
+        )
+        assert [tuple(sorted(t.anisotropic)) for t, _, _ in rows] == want
+
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_every_kernel_of_a1_power(self, k):
+        d = builtin("+".join(["A1"] * k))
+        rows = enumerate_indices(d, AutGroup.trivial(d.nodes))
+        assert len(rows) == 2 ** k - 1
+        assert all(a == PI for _, a, _ in rows)
 
 
 class TestCatalog:

@@ -8,7 +8,7 @@ import pytest
 import helpers
 from coxangle.diagram import builtin, classify, new_diagram, restrict
 from coxangle.errors import NonCrystallographic, OrbitBudgetExceeded, OrderBudgetExceeded
-from coxangle.geometry import dot, realize, root_coefficients, vscale
+from coxangle.geometry import dot, realize, vscale
 from coxangle.weyl import (
     DEFAULT_ORBIT_BUDGET,
     ORBIT_BUDGET_ENV,
@@ -244,7 +244,7 @@ class TestLongestElement:
         # fixes weights orthogonal to the parabolic's span? no: sends
         # alpha_2 to a negative root of the parabolic
         img = w.apply(r.simple_roots[2])
-        coeffs = root_coefficients(r, img)
+        coeffs = helpers.root_coefficients(r, img)
         assert all(c <= 0 for c in coeffs.values())
 
     def test_sends_all_simple_roots_negative(self):
@@ -252,7 +252,7 @@ class TestLongestElement:
         w0 = longest_element(r)
         for i in (1, 2, 3, 4, 5):
             img = w0.apply(r.simple_roots[i])
-            assert all(c <= 0 for c in root_coefficients(r, img).values())
+            assert all(c <= 0 for c in helpers.root_coefficients(r, img).values())
 
 
 class TestElementOrder:
