@@ -5,12 +5,12 @@ rational cosine. The two overlap exactly at cos in {-1, -1/2, 0, 1/2} (the
 rational-cosine angles that are also rational multiples of pi), and those
 are always normalized to the pi form, so structural equality is angle
 equality. Threshold checks against pi/3, pi/2, 2pi/3, pi reduce to rational
-comparisons; the general mixed-kind order falls back to interval refinement
-with Machin pi bounds and Taylor cosine bounds, which terminates because a
-non-normalized rational cosine never equals a rational multiple of pi.
-The constructor enforces the range and the normalization, and the
-refinement is capped: operands too close to separate within the cap
-raise PrecisionExhausted instead of looping on.
+comparisons. The general mixed-kind order, p/q·pi against arccos c, counts
+the sign changes of the Chebyshev values b^k U_k(c) in integer arithmetic
+(see _pi_multiple_below_arccos): it is exact, holds no cache, and ends
+within q - 1 steps, because by Niven's theorem a non-normalized rational
+cosine never equals a rational multiple of pi. The constructor enforces
+the range and the normalization.
 """
 
 from __future__ import annotations
@@ -19,10 +19,9 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional
 
-from .errors import InvalidEntry, PrecisionExhausted
+from .errors import InvalidEntry
 
 # rational multiple of pi <-> rational cosine, the only overlaps in (0, pi]
 _COS_TO_PI = {
@@ -32,10 +31,6 @@ _COS_TO_PI = {
     Fraction(-1): Fraction(1),
 }
 _PI_TO_COS = {v: k for k, v in _COS_TO_PI.items()}
-
-# cap on the series terms of a mixed-kind comparison (doubled from 6); 48
-# terms separate angles about 1e-68 apart, and 96 would take seconds
-_MAX_TERMS = 48
 
 
 @dataclass(frozen=True, order=False)
@@ -119,47 +114,35 @@ PI_OVER_2 = Angle.rational_pi(1, 2)
 PI_OVER_3 = Angle.rational_pi(1, 3)
 
 
-def _atan_bounds(x: Fraction, terms: int) -> tuple[Fraction, Fraction]:
-    """Alternating-series bracket for arctan x, 0 < x < 1."""
-    total = Fraction(0)
-    power = x
-    x2 = x * x
-    prev = total
-    for k in range(terms):
-        prev = total
-        term = power / (2 * k + 1)
-        total = total - term if k % 2 else total + term
-        power *= x2
-    return (total, prev) if total < prev else (prev, total)
+def _pi_multiple_below_arccos(frac: Fraction, c: Fraction) -> bool:
+    """Whether frac·pi < arccos c, for frac in (0, 1) and c in (-1, 1).
 
-
-@lru_cache(maxsize=None)
-def _pi_bounds(terms: int) -> tuple[Fraction, Fraction]:
-    """Machin: pi = 16 arctan(1/5) - 4 arctan(1/239), bracketed rationally."""
-    a_lo, a_hi = _atan_bounds(Fraction(1, 5), terms)
-    b_lo, b_hi = _atan_bounds(Fraction(1, 239), terms)
-    return 16 * a_lo - 4 * b_hi, 16 * a_hi - 4 * b_lo
-
-
-def _cos_bounds(x: Fraction, terms: int) -> tuple[Fraction, Fraction]:
-    """Taylor bracket for cos x with the standard remainder bound."""
-    total = Fraction(1)
-    term = Fraction(1)
-    x2 = x * x
-    for k in range(1, terms):
-        term = term * x2 / ((2 * k - 1) * (2 * k))
-        total = total - term if k % 2 else total + term
-    rem = term * x2 / ((2 * terms - 1) * (2 * terms))
-    return total - rem, total + rem
-
-
-def _cos_of_pi_multiple(frac: Fraction, terms: int) -> tuple[Fraction, Fraction]:
-    pi_lo, pi_hi = _pi_bounds(terms)
-    mid = frac * (pi_lo + pi_hi) / 2
-    # |x - mid| <= w and cos is 1-Lipschitz, so pad the Taylor bracket by w
-    w = frac * (pi_hi - pi_lo) / 2
-    c_lo, c_hi = _cos_bounds(mid, terms)
-    return c_lo - w, c_hi + w
+    With c = a/b and theta = arccos c, V_k = b^k U_k(c) satisfies V_0 = 1,
+    V_1 = 2a and V_{k+1} = 2a V_k - b^2 V_{k-1}, and U_k(c) has the sign of
+    sin((k+1) theta) (Szego, Orthogonal Polynomials, ch. III). So V_0..V_{q-1}
+    change sign exactly floor(q theta / pi) times, and p/q·pi < theta exactly
+    when the p-th change comes within those q - 1 steps. A step without a
+    change is a change for (1 - p/q)·pi against arccos(-c), so counting both
+    stops as soon as one side reaches its target, and by step q - 1 at the
+    latest. No V_k is zero: that would make theta a rational multiple of pi
+    with rational cosine, which Niven's theorem limits to the normalized
+    cosines.
+    """
+    p, q = frac.numerator, frac.denominator
+    a, b = c.numerator, c.denominator
+    two_a, b2 = 2 * a, b * b
+    prev, cur = 1, two_a
+    changes = stays = 0
+    while True:
+        if (prev < 0) != (cur < 0):
+            changes += 1
+            if changes == p:
+                return True
+        else:
+            stays += 1
+            if stays == q - p:
+                return False
+        prev, cur = cur, two_a * cur - b2 * prev
 
 
 def _compare(a: Angle, b: Angle) -> int:
@@ -178,19 +161,8 @@ def _compare(a: Angle, b: Angle) -> int:
         if special == b.value:
             return 0
         return -1 if special > b.value else 1
-    c = b.value
-    terms = 6
-    while terms <= _MAX_TERMS:
-        lo, hi = _cos_of_pi_multiple(a.value, terms)
-        if c < lo:
-            return -1
-        if c > hi:
-            return 1
-        # equality is impossible here (the overlap cases were normalized away)
-        terms *= 2
-    raise PrecisionExhausted(
-        f"cannot order {a} and {b} within {_MAX_TERMS} series terms"
-    )
+    # equality is impossible here (the overlap cases were normalized away)
+    return -1 if _pi_multiple_below_arccos(a.value, b.value) else 1
 
 
 class Verdict(enum.Enum):

@@ -224,12 +224,13 @@ def _cmd_enumerate(ns) -> tuple[str, int]:
     else:
         d, g = doc.payload, AutGroup.trivial(doc.payload.nodes)
     results = tits_mod.enumerate_indices(d, g, ns.rel_rank)
+    orbits = diag.orbits(d, g)
     headers = ["anisotropic", "rel_rank", "angle", "cos", "radians_approx", "verdict"]
     rows = []
     entries = []
     for t, a, v in results:
         aniso = sorted(t.anisotropic)
-        rel = len(tits_mod.isotropic_orbits(t))
+        rel = sum(not t.anisotropic.issuperset(orbit) for orbit in orbits)
         angle_s, cos_s, rad_s = _angle_cells(a)
         rows.append(
             [" ".join(map(str, aniso)) or "-", str(rel), angle_s, cos_s, rad_s, v.code]

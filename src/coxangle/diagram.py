@@ -52,12 +52,19 @@ class CoxeterDiagram:
     def _edge_map(self) -> dict[tuple[int, int], int]:
         return {(i, j): m for i, j, m in self.edges}
 
+    @cached_property
+    def _adjacency(self) -> dict[int, tuple[int, ...]]:
+        adjacent: dict[int, list[int]] = {i: [] for i in self.nodes}
+        for a, b, _ in self.edges:
+            adjacent.setdefault(a, []).append(b)
+            adjacent.setdefault(b, []).append(a)
+        return {i: tuple(sorted(js)) for i, js in adjacent.items()}
+
     def neighbors(self, i: int) -> tuple[int, ...]:
         """Nodes joined to i by an edge (m >= 3), ascending."""
         if i not in self.node_set:
             raise UnknownNode(f"node {i} not in diagram")
-        out = [b if a == i else a for a, b, _ in self.edges if i in (a, b)]
-        return tuple(sorted(out))
+        return self._adjacency[i]
 
     def degree(self, i: int) -> int:
         return len(self.neighbors(i))

@@ -54,10 +54,6 @@ class OrderBudgetExceeded(CoxangleError):
     """Element-order iteration hit the safety cap (non-finite-order input)."""
 
 
-class PrecisionExhausted(CoxangleError):
-    """Two exact angles lie too close to order within the refinement cap."""
-
-
 class InvalidTitsDiagram(CoxangleError):
     """A Tits diagram failed validation; carries the violation list."""
 

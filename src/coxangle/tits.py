@@ -21,7 +21,6 @@ from a type table, and nothing is realized.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -183,8 +182,6 @@ _EXCEPTIONAL_DIAGONAL = {
 }
 
 
-# bounded: ranks come from user input; every position of rank <= 8 fits
-@functools.lru_cache(maxsize=1024)
 def _closed_form_cos(family: str, n: int, p: int) -> Fraction:
     """Best cosine between omega_p and another vertex of its Weyl orbit.
 
@@ -202,10 +199,6 @@ def _closed_form_cos(family: str, n: int, p: int) -> Fraction:
     else:
         diagonal = Fraction(_EXCEPTIONAL_DIAGONAL[family, n][p - 1])
     return 1 - 1 / diagonal
-
-
-def clear_angle_cache() -> None:
-    _closed_form_cos.cache_clear()
 
 
 def angular_distance(d: CoxeterDiagram, i: int) -> Angle:

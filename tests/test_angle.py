@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -14,7 +16,7 @@ from coxangle.angle import (
     Verdict,
     verdict_against_pi_over_3,
 )
-from coxangle.errors import CoxangleError, InvalidEntry, PrecisionExhausted
+from coxangle.errors import InvalidEntry
 
 
 class TestCanonicalization:
@@ -81,14 +83,20 @@ class TestConstructorInvariants:
         with pytest.raises(InvalidEntry):
             Angle("pi", Fraction(7, 3)) < Angle("cos", Fraction(1, 2))
 
-    def test_refinement_is_capped(self):
-        # a cosine within 1e-120 of cos(pi/5) = (1 + sqrt 5)/4 cannot be
-        # separated from pi/5 within the series cap
+    def test_near_tie_below_cos_pi_over_5(self):
+        # c is within 1e-120 of cos(pi/5) = (1 + sqrt 5)/4; isqrt rounds
+        # down, so c < cos(pi/5) and arccos(c) > pi/5
         scale = 10**120
         c = Fraction(scale + math.isqrt(5 * scale * scale), 4 * scale)
-        with pytest.raises(PrecisionExhausted) as exc:
-            Angle.rational_pi(1, 5) < Angle.exact_cos(c)
-        assert isinstance(exc.value, CoxangleError)
+        assert Angle.rational_pi(1, 5) < Angle.exact_cos(c)
+        assert not Angle.exact_cos(c) < Angle.rational_pi(1, 5)
+
+    def test_near_tie_above_cos_pi_over_5(self):
+        # isqrt rounded up puts c just above cos(pi/5), so arccos(c) < pi/5
+        scale = 10**120
+        c = Fraction(scale + math.isqrt(5 * scale * scale) + 1, 4 * scale)
+        assert Angle.exact_cos(c) < Angle.rational_pi(1, 5)
+        assert not Angle.rational_pi(1, 5) < Angle.exact_cos(c)
 
     def test_close_but_separable_still_ordered(self):
         scale = 10**30
@@ -244,3 +252,60 @@ def test_mixed_comparison_agrees_with_float(c, p, q):
         return  # too close for a float referee; exactness tested elsewhere
     assert (a < b) == (fa < fb)
     assert (b < a) == (fb < fa)
+
+
+def _within_seconds(seconds, compute):
+    """compute(), failing the test instead of hanging past the limit."""
+    def expire(signum, frame):
+        raise AssertionError(f"not decided within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return compute()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
+class TestLargeDenominator:
+    """A pair far apart is decided in a few steps, whatever q is."""
+
+    def test_small_multiple_below_arccos(self):
+        # 2pi/10^9 is far below arccos(1/3) = 1.2309...
+        a = Angle.rational_pi(2, 10**9)
+        b = Angle.exact_cos(Fraction(1, 3))
+        assert _within_seconds(5, lambda: a < b)
+        assert _within_seconds(5, lambda: not b < a)
+        assert _within_seconds(5, lambda: b > a)
+
+    def test_mirror_above_arccos(self):
+        # pi - 2pi/10^9 is far above arccos(-1/3) = pi - 1.2309...
+        a = Angle.rational_pi(10**9 - 2, 10**9)
+        b = Angle.exact_cos(Fraction(-1, 3))
+        assert _within_seconds(5, lambda: b < a)
+        assert _within_seconds(5, lambda: not a < b)
+
+
+def test_mixed_order_matches_float_oracle_sweep():
+    # every p/q in (0, 1] with q <= 60 against a seeded sample of cosines;
+    # the float oracle only referees pairs more than 1e-9 apart
+    rng = random.Random(20121)
+    cosines = [Fraction(rng.randint(-b + 1, b - 1), b)
+               for b in (rng.randint(2, 500) for _ in range(40))]
+    refereed = 0
+    for q in range(1, 61):
+        for p in range(1, q + 1):
+            if math.gcd(p, q) != 1:
+                continue
+            a = Angle.rational_pi(p, q)
+            for c in cosines:
+                b = Angle.exact_cos(c)
+                fa, fb = math.pi * p / q, math.acos(float(c))
+                if abs(fa - fb) <= 1e-9:
+                    continue
+                refereed += 1
+                assert (a < b) == (fa < fb), (p, q, c)
+                assert (b < a) == (fb < fa), (p, q, c)
+    assert refereed > 40_000

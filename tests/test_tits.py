@@ -34,7 +34,6 @@ from coxangle.tits import (
     TitsDiagram,
     admissibility,
     angular_distance,
-    clear_angle_cache,
     enumerate_indices,
     isotropic_orbits,
     minimal_angle,
@@ -257,16 +256,7 @@ class TestAngularDistance:
             comp = component_of(d, i)
             assert angular_distance(d, i) == angular_distance(comp, i)
 
-    def test_cache_transparent(self):
-        clear_angle_cache()
-        a1 = angular_distance(builtin("E6"), 2)
-        a2 = angular_distance(builtin("E6"), 2)
-        assert a1 == a2 == PI_OVER_3
-        clear_angle_cache()
-        assert angular_distance(builtin("E6"), 2) == PI_OVER_3
-
-    def test_cache_keyed_by_position_not_label(self):
-        clear_angle_cache()
+    def test_keyed_by_position_not_label(self):
         d1 = new_diagram([1, 2, 3], [(1, 2, 3), (2, 3, 3)])
         d2 = new_diagram([10, 20, 30], [(10, 20, 3), (20, 30, 3)])
         assert angular_distance(d1, 1) == angular_distance(d2, 10)
