@@ -23,16 +23,13 @@ from . import weyl
 from .angle import Angle
 from .diagram import AutGroup, CoxeterDiagram
 from .errors import CoxangleError, ParseError
+from .fold import fold_tits
 from .tits import TitsDiagram
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_PARSE = 2
 EXIT_CATALOG = 3
-
-
-def _angle_json(a: Angle) -> dict:
-    return a.to_json()
 
 
 def _angle_cells(a: Angle) -> tuple[str, str, str]:
@@ -79,9 +76,10 @@ def _load_doc(ns) -> dsl.SpecDocument:
             text = fh.read()
     except OSError as exc:
         raise CoxangleError(f"cannot read {spec_path}: {exc.strerror}") from exc
-    # min-angle validates in minimal_angle_report, so the parse does not
+    # min-angle and fold validate in fold_tits, so the parse does not
     return dsl.parse_spec(
-        text, filename=spec_path, require_valid=ns.command not in ("validate", "min-angle")
+        text, filename=spec_path,
+        require_valid=ns.command not in ("validate", "min-angle", "fold"),
     )
 
 
@@ -110,7 +108,7 @@ def _cmd_validate(ns) -> tuple[str, int]:
     return out, EXIT_OK if report.ok else EXIT_DOMAIN
 
 
-def _want_node(ns, d: CoxeterDiagram) -> int:
+def _want_node(ns) -> int:
     if ns.node is None:
         raise CoxangleError("this command needs --node <i>")
     return ns.node
@@ -119,14 +117,14 @@ def _want_node(ns, d: CoxeterDiagram) -> int:
 def _cmd_angle(ns) -> tuple[str, int]:
     doc = _load_doc(ns)
     d = doc.diagram
-    node = _want_node(ns, d)
+    node = _want_node(ns)
     a = tits_mod.angular_distance(d, node)
     cells = _angle_cells(a)
     out = _emit(
         ns.format,
         ["angle", "cos", "radians_approx"],
         [list(cells)],
-        _angle_json(a),
+        a.to_json(),
     )
     return out, EXIT_OK
 
@@ -139,7 +137,7 @@ def _cmd_min_angle(ns) -> tuple[str, int]:
     angle_s, cos_s, rad_s = _angle_cells(a)
     achieved_s = " ".join("{" + ",".join(map(str, orb)) + "}" for orb in achieved)
     payload = {
-        "angle": _angle_json(a),
+        "angle": a.to_json(),
         "verdict": verdict.code,
         "achieved_by": [list(orb) for orb in achieved],
     }
@@ -153,25 +151,21 @@ def _cmd_min_angle(ns) -> tuple[str, int]:
 
 
 def _cmd_fold(ns) -> tuple[str, int]:
-    from .fold import fold
-
-    doc = _load_doc(ns)
-    t = doc.tits
-    result = fold(t.diagram, t.gamma)
-    folded_a = sorted({result.node_map[x] for x in t.anisotropic})
+    result, folded_a = fold_tits(_load_doc(ns).tits)
+    aniso = sorted(folded_a)
     rows = [
         [
             diag.type_name(result.folded),
             " ".join(map(str, result.folded.nodes)),
             " ".join(f"({i},{j},{m})" for i, j, m in sorted(result.folded.edges)),
             " ".join(f"{k}->{v}" for k, v in sorted(result.node_map.items())),
-            " ".join(map(str, folded_a)),
+            " ".join(map(str, aniso)),
         ]
     ]
     payload = {
         "folded": _diagram_json(result.folded),
         "node_map": {str(k): v for k, v in sorted(result.node_map.items())},
-        "anisotropic": folded_a,
+        "anisotropic": aniso,
     }
     out = _emit(
         ns.format, ["type", "nodes", "edges", "node_map", "anisotropic"], rows, payload
@@ -200,7 +194,7 @@ def _cmd_opposition(ns) -> tuple[str, int]:
 def _cmd_orbit(ns) -> tuple[str, int]:
     doc = _load_doc(ns)
     d = doc.diagram
-    node = _want_node(ns, d)
+    node = _want_node(ns)
     comp = diag.component_of(d, node)
     size = weyl.orbit_size(comp, node, ns.orbit_budget)
     order = weyl.group_order(comp)
@@ -239,7 +233,7 @@ def _cmd_enumerate(ns) -> tuple[str, int]:
             {
                 "anisotropic": aniso,
                 "rel_rank": rel,
-                "angle": _angle_json(a),
+                "angle": a.to_json(),
                 "verdict": v.code,
             }
         )
@@ -274,8 +268,8 @@ def _cmd_catalog(ns) -> tuple[str, int]:
         entries.append(
             {
                 "name": entry.name,
-                "expected": _angle_json(entry.expected),
-                "computed": _angle_json(computed),
+                "expected": entry.expected.to_json(),
+                "computed": computed.to_json(),
                 "ok": ok,
             }
         )

@@ -9,7 +9,6 @@ identity of surviving nodes.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -75,14 +74,21 @@ class CoxeterDiagram:
 
 @dataclass(frozen=True)
 class Permutation:
-    """A permutation of a finite set of node labels, stored as a total map."""
+    """A permutation of a finite set of node labels, stored as a total map.
+
+    Built only as a bijection: the keys are distinct and the values are
+    the keys, rearranged.
+    """
 
     mapping: tuple[tuple[int, int], ...]
 
+    def __post_init__(self):
+        keys = {i for i, _ in self.mapping}
+        if len(keys) != len(self.mapping) or keys != {j for _, j in self.mapping}:
+            raise InvalidEntry(f"not a permutation: {self.mapping}")
+
     @staticmethod
     def from_dict(d: dict[int, int]) -> "Permutation":
-        if sorted(d.keys()) != sorted(d.values()):
-            raise InvalidEntry(f"not a permutation: {d}")
         return Permutation(tuple(sorted(d.items())))
 
     @staticmethod
@@ -530,13 +536,11 @@ def type_name(d: CoxeterDiagram) -> str:
 
 
 def is_automorphism(d: CoxeterDiagram, p: Permutation) -> bool:
+    """p permutes the nodes and carries the labeled edges onto themselves;
+    as p is a bijection, the unjoined pairs then go to unjoined pairs."""
     if p.domain != d.node_set:
         return False
-    return all(d.m(p.of(i), p.of(j)) == d.m(i, j) for i, j, _ in d.edges) and all(
-        d.m(p.of(i), p.of(j)) == 2
-        for i, j in itertools.combinations(d.nodes, 2)
-        if d.m(i, j) == 2
-    )
+    return {(*sorted((p.of(i), p.of(j))), m) for i, j, m in d.edges} == d.edges
 
 
 def check_automorphisms(d: CoxeterDiagram, g: AutGroup) -> None:

@@ -17,55 +17,32 @@ them commute (m = 2). N is the sum of d_i - 1 over the degrees d_i of
 each component (ComponentType.degrees), so reducible diagrams and
 component-swapping groups need no special case and nothing is realized.
 
-The orbit generators w_J, as ambient matrices, are built only when
-FoldResult.generators is first read; the test suite checks every folded
-bond against the order of their product.
+No matrix is built here. The test suite realizes each w_J
+(weyl.longest_element on geometry.realize) and checks every folded bond
+against the order of their product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Optional
 
 from . import diagram as diag
-from . import geometry as geom
-from . import weyl
 from .diagram import AutGroup, CoxeterDiagram
 from .errors import NonCrystallographic
-from .weyl import OrthogonalElement
 
 
 @dataclass
 class FoldResult:
-    """Folded diagram, the orbit projection, and the diagram that was folded.
+    """Folded diagram and the orbit projection.
 
     Folded nodes are labeled by the smallest member of their orbit. The
     bonds come from positive-root counts, m(J, K) = 2·N(J∪K) / (N(J) + N(K))
     (length additivity on the fixed subgroup: Steinberg; Lusztig ch. 16; see
-    the module docstring), so no matrix is built for them. The fixed-subgroup
-    generators are built on demand, on the first read of generators.
+    the module docstring).
     """
 
     folded: CoxeterDiagram
     node_map: dict[int, int]
-    diagram: CoxeterDiagram
-
-    @cached_property
-    def generators(self) -> Optional[dict[int, OrthogonalElement]]:
-        """w_J of each orbit J as an ambient matrix, keyed by folded label.
-
-        Realized on first access. None when the diagram that was folded has
-        no rational realization (it is not crystallographic; this includes
-        the analytic I_2(m) fold).
-        """
-        if not all(ct.crystallographic for ct in diag.classify(self.diagram)):
-            return None
-        r = geom.realize(self.diagram)
-        orbits: dict[int, list[int]] = {}
-        for i, label in self.node_map.items():
-            orbits.setdefault(label, []).append(i)
-        return {label: weyl.longest_element(r, orbits[label]) for label in sorted(orbits)}
 
 
 def _positive_roots(d: CoxeterDiagram) -> int:
@@ -78,7 +55,7 @@ def fold(d: CoxeterDiagram, g: AutGroup) -> FoldResult:
     """Fold d by g; see FoldResult. Trivial g returns d unchanged."""
     diag.check_automorphisms(d, g)
     if g.is_trivial:
-        return FoldResult(d, {i: i for i in d.nodes}, d)
+        return FoldResult(d, {i: i for i in d.nodes})
     orbits = diag.orbits(d, g)
     node_map = {i: min(orbit) for orbit in orbits for i in orbit}
     if not all(ct.crystallographic for ct in diag.classify(d)):
@@ -87,7 +64,7 @@ def fold(d: CoxeterDiagram, g: AutGroup) -> FoldResult:
             # involution w_0, so the fold is A_1; no rational matrices exist
             label = min(d.nodes)
             folded = diag.new_diagram([label], [])
-            return FoldResult(folded, node_map, d)
+            return FoldResult(folded, node_map)
         raise NonCrystallographic(
             "folding with nontrivial symmetry needs a crystallographic diagram "
             "(or a single rank-2 diagram)"
@@ -102,7 +79,7 @@ def fold(d: CoxeterDiagram, g: AutGroup) -> FoldResult:
         if a != b
     ]
     folded = diag.new_diagram(sorted(members), entries)
-    return FoldResult(folded, node_map, d)
+    return FoldResult(folded, node_map)
 
 
 def fold_tits(t) -> tuple[FoldResult, frozenset[int]]:

@@ -3,11 +3,11 @@ subdiagrams, angular distance, minimal angle, and the pi/3 trichotomy.
 
 A request validates its diagram once. The public entry points
 (minimal_angle_report, rank_one_subdiagrams, relative_rank, and
-fold.fold_tits) check their input; _rank_one_subdiagrams takes a diagram
-that is already valid. enumerate_indices calls no validate at all: its
-search checks the opposition clause of each isotropic orbit itself and
+fold.fold_tits) check their input; minimal_angle_report validates and
+folds through fold_tits alone. enumerate_indices calls no validate at all:
+its search checks the opposition clause of each isotropic orbit itself and
 prunes on the first failure, and it folds (M, Gamma) once for all of its
-kernels. A trivial Gamma is never folded on the angle path.
+kernels, and only if some kernel is valid.
 
 The angular distance at a node only depends on its connected component (the
 Weyl group acts componentwise and the fundamental weight lies in the
@@ -27,7 +27,7 @@ from typing import Iterable, Optional
 
 from . import diagram as diag
 from . import weyl
-from .fold import fold
+from .fold import fold, fold_tits
 from .angle import PI, Angle, Verdict, verdict_against_pi_over_3
 from .diagram import AutGroup, CoxeterDiagram
 from .errors import (
@@ -160,11 +160,6 @@ def rank_one_subdiagrams(t: TitsDiagram) -> list[TitsDiagram]:
     ensure_valid(t)
     if not t.gamma.is_trivial:
         raise NontrivialGamma("rank-one extraction needs a trivial symmetry group")
-    return _rank_one_subdiagrams(t)
-
-
-def _rank_one_subdiagrams(t: TitsDiagram) -> list[TitsDiagram]:
-    """rank_one_subdiagrams without its checks: t is valid, gamma is ignored."""
     out = []
     for i in t.isotropic:
         sub = diag.restrict(t.diagram, t.anisotropic.union((i,)))
@@ -226,30 +221,21 @@ def angular_distance(d: CoxeterDiagram, i: int) -> Angle:
 def minimal_angle_report(t: TitsDiagram) -> tuple[Angle, list[tuple[int, ...]]]:
     """Minimal angle plus the isotropic orbits achieving it (tie diagnostics).
 
-    A trivial Gamma is not folded: its fold is M itself.
+    Folds by fold_tits, then takes the angular distance at each isotropic
+    node of the fold in its rank-one subdiagram: the restriction of the
+    folded diagram to the folded A and that node.
     """
-    ensure_valid(t)
-    if t.gamma.is_trivial:
-        folded, node_map = t, {i: i for i in t.diagram.nodes}
-    else:
-        folding = fold(t.diagram, t.gamma)
-        node_map = folding.node_map
-        folded = TitsDiagram(
-            folding.folded,
-            AutGroup.trivial(folding.folded.nodes),
-            frozenset(node_map[a] for a in t.anisotropic),
-        )
-    subs = _rank_one_subdiagrams(folded)
-    if not subs:
+    folding, folded_a = fold_tits(t)
+    isotropic = [i for i in folding.folded.nodes if i not in folded_a]
+    if not isotropic:
         raise ZeroRelativeRank(
             "every node is anisotropic; the minimal angle is undefined"
         )
     best: Optional[Angle] = None
     achieving: list[tuple[int, ...]] = []
-    for sub in subs:
-        (node,) = set(sub.diagram.nodes) - sub.anisotropic
-        angle = angular_distance(sub.diagram, node)
-        orbit = tuple(sorted(o for o, f in node_map.items() if f == node))
+    for node in isotropic:
+        angle = angular_distance(diag.restrict(folding.folded, folded_a | {node}), node)
+        orbit = tuple(sorted(o for o, f in folding.node_map.items() if f == node))
         if best is None or angle < best:
             best, achieving = angle, [orbit]
         elif angle == best:
@@ -300,11 +286,10 @@ def enumerate_indices(
         return []
     TitsDiagram(d, g, frozenset())  # the domain check every row makes
     kernels = _search_kernels(d, orbits, rel_rank)
-    if kernels and not g.is_trivial:
-        folding = fold(d, g)
-        folded, node_map = folding.folded, folding.node_map
-    else:
-        folded, node_map = d, {i: i for i in d.nodes}
+    if not kernels:
+        return []
+    folding = fold(d, g)
+    folded, node_map = folding.folded, folding.node_map
     angles: dict[_Key, Angle] = {}
 
     def angle_at(key: _Key) -> Angle:

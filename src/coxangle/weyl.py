@@ -2,9 +2,9 @@
 elements, the opposition involution, and element orders.
 
 The opposition involution is read from the component-type table, not
-from a realization. Longest elements and element orders serve the fold's
-generators, which are built only when FoldResult.generators is read, and
-the test oracles; no CLI request builds them.
+from a realization. Longest elements and element orders serve the test
+oracles (the fold's w_J generators among them); no CLI request builds
+them.
 
 Orbit enumeration serves the `orbit` command and the test oracles; the
 angle path uses a closed form instead. One walk (_walk) enumerates W*lam in

@@ -5,8 +5,11 @@ the full group is enumerated as ambient matrices by closure, so tests can
 compare the production algorithms against an independent computation.
 orbit_scan_max_cos is the exception: it reuses the library's orbit walk,
 but reads each angle off the Gram matrix of the realized weights, not off
-the closed form it checks. brute_enumerate validates every candidate
-kernel, where tits.enumerate_indices searches with pruning.
+the closed form it checks. orbit_generators also reuses the library's
+longest_element: it realizes the w_J that fold.fold never builds, so the
+folded bonds, read off positive-root counts, can be checked against the
+order of w_J·w_K. brute_enumerate validates every candidate kernel, where
+tits.enumerate_indices searches with pruning.
 """
 
 from __future__ import annotations
@@ -214,6 +217,23 @@ def dihedral_opposition(m: int) -> bool:
         return False  # fixes the first simple root up to sign
     assert w0[0] == (m - 1) + m
     return True
+
+
+def orbit_generators(d: CoxeterDiagram, node_map: dict[int, int]):
+    """w_J of each orbit J of a fold of d, as an ambient matrix keyed by
+    the orbit's folded label: weyl.longest_element on geometry.realize.
+
+    node_map is FoldResult.node_map. None when d has no rational
+    realization (it is not crystallographic; this includes the analytic
+    I_2(m) fold).
+    """
+    if not all(ct.crystallographic for ct in diag.classify(d)):
+        return None
+    r = geom.realize(d)
+    orbits: dict[int, list[int]] = {}
+    for i, label in node_map.items():
+        orbits.setdefault(label, []).append(i)
+    return {label: weyl.longest_element(r, orbits[label]) for label in sorted(orbits)}
 
 
 def gen_group(d: CoxeterDiagram, cycles) -> AutGroup:

@@ -166,6 +166,31 @@ class TestFoldCommand:
         assert out.splitlines()[2].split()[0] == "B4"
 
 
+FOLD_ERRORS = [
+    # (spec, message), one per validation clause
+    ("diagram A5\ngamma (1 5)(2 4)\nanisotropic 2 3 4 5\n",
+     "orbit {1, 5} meets the anisotropic set without being contained in it"),
+    (BAD_OPPOSITION_SPEC, "opposition maps orbit {1} to {3} in the restriction to [1, 2, 3]"),
+    ("diagram B3\ngamma (1 3)\n", "(1 3) is not an automorphism of the diagram"),
+]
+
+
+class TestFoldCommandErrors:
+    @pytest.mark.parametrize("text,message", FOLD_ERRORS)
+    def test_table(self, invoke, counted, tmp_path, text, message):
+        code, out, err = invoke("fold", write(tmp_path, text))
+        assert (code, out, err) == (EXIT_DOMAIN, "", f"error: {message}\n")
+        assert counted["validate"] == 1
+
+    @pytest.mark.parametrize("text,message", FOLD_ERRORS)
+    def test_json(self, invoke, counted, tmp_path, text, message):
+        code, out, err = invoke("fold", write(tmp_path, text), "--format", "json")
+        doc = {"error": {"code": "InvalidTitsDiagram", "message": message}}
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err == json.dumps(doc, separators=(",", ":")) + "\n"
+        assert counted["validate"] == 1
+
+
 class TestOppositionCommand:
     def test_e6(self, invoke):
         code, out, _ = invoke("opposition", "--diagram", "E6")
@@ -348,18 +373,25 @@ class TestErrorPaths:
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Count calls of tits.validate and of fold.fold made from tits."""
+    """Count calls of tits.validate, and the calls of fold.fold with a
+    nontrivial Gamma, from fold_tits (which looks fold up in coxangle.fold)
+    and from enumerate_indices (which looks it up in coxangle.tits)."""
     calls = {"validate": 0, "fold": 0}
+    # the package root rebinds the name coxangle.fold to the function
+    fold_mod = sys.modules["coxangle.fold"]
+    validate, fold = tits_mod.validate, fold_mod.fold
 
-    def wrap(name, fn):
-        def counting(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
+    def counting_validate(*args, **kwargs):
+        calls["validate"] += 1
+        return validate(*args, **kwargs)
 
-        monkeypatch.setattr(tits_mod, name, counting)
+    def counting_fold(d, g):
+        calls["fold"] += not g.is_trivial
+        return fold(d, g)
 
-    wrap("validate", tits_mod.validate)
-    wrap("fold", tits_mod.fold)
+    monkeypatch.setattr(tits_mod, "validate", counting_validate)
+    for module in (fold_mod, tits_mod):
+        monkeypatch.setattr(module, "fold", counting_fold)
     return calls
 
 
@@ -456,17 +488,3 @@ class TestRequestPathBuildsNoMatrix:
         code, out, _ = invoke("enumerate", ENUM_D5_FLIP, "--format", "json")
         assert code == EXIT_OK and len(json.loads(out)["entries"]) > 1
         assert matrix_calls == {"realize": 0, "longest_element": 0, "element_order": 0}
-
-    def test_generators_still_built_on_access(self, matrix_calls):
-        from coxangle.diagram import builtin
-        from coxangle.fold import fold
-        from helpers import gen_group
-
-        d = builtin("E6")
-        res = fold(d, gen_group(d, [(1, 6), (3, 5)]))
-        assert matrix_calls["realize"] == 0
-        gens = res.generators
-        assert set(gens) == {1, 2, 3, 4}
-        assert all(g.times(g).is_identity for g in gens.values())
-        assert matrix_calls == {"realize": 1, "longest_element": 4, "element_order": 0}
-        assert res.generators is gens

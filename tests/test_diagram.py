@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -214,6 +216,25 @@ class TestAutomorphisms:
         assert is_automorphism(d, Permutation.from_cycles([(1, 3)], d.nodes))
         assert not is_automorphism(d, Permutation.from_cycles([(1, 2)], d.nodes))
 
+    @pytest.mark.parametrize("name", ["A4", "B3", "D4", "A2+A2", "I2(5)+A1"])
+    def test_is_automorphism_matches_pairwise_definition(self, name):
+        # an automorphism is a permutation of the nodes that keeps m_ij for
+        # every pair, joined or not
+        d = builtin(name)
+        accepted = 0
+        for images in itertools.permutations(d.nodes):
+            p = Permutation.from_dict(dict(zip(d.nodes, images)))
+            want = all(d.m(p(i), p(j)) == d.m(i, j)
+                       for i, j in itertools.combinations(d.nodes, 2))
+            assert is_automorphism(d, p) == want, p.cycle_string()
+            accepted += want
+        assert accepted == diagram_automorphisms(d).order()
+
+    def test_is_automorphism_needs_the_node_set(self):
+        d = builtin("A3")
+        assert not is_automorphism(d, Permutation.identity([1, 2]))
+        assert not is_automorphism(d, Permutation.identity([1, 2, 3, 4]))
+
     def test_check_automorphisms_raises(self):
         d = builtin("B3")
         g = AutGroup.generated_by(
@@ -261,6 +282,15 @@ class TestPermutation:
             Permutation.from_cycles([(1, 9)], [1, 2])
         with pytest.raises(InvalidEntry):
             Permutation.from_cycles([(1, 2), (1, 3)], [1, 2, 3])
+
+    @pytest.mark.parametrize("mapping", [
+        ((1, 2), (2, 2), (3, 3)),  # 3 has no preimage
+        ((1, 1), (1, 2)),  # 1 is mapped twice
+        ((1, 2),),  # 2 is not in the domain
+    ])
+    def test_non_bijection_rejected_on_construction(self, mapping):
+        with pytest.raises(InvalidEntry):
+            Permutation(mapping)
 
     def test_restricted(self):
         p = Permutation.from_cycles([(1, 5), (2, 4)], [1, 2, 3, 4, 5])
