@@ -76,6 +76,10 @@ def _load_doc(ns) -> dsl.SpecDocument:
             text = fh.read()
     except OSError as exc:
         raise CoxangleError(f"cannot read {spec_path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"cannot read {spec_path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from exc
     # min-angle and fold validate in fold_tits, so the parse does not
     return dsl.parse_spec(
         text, filename=spec_path,
@@ -290,15 +294,32 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The argument parser, with every subparser or only `command`'s.
+
+    Once the first argument names a command, argparse hands everything
+    after it to that command's subparser, and no other subparser can be
+    reached; building only that one saves most of the construction cost.
+    The narrowed parser spells out the full `{validate,...,catalog}`
+    metavar, so the top-level usage line it prints for unrecognized
+    arguments is the full parser's, byte for byte. The full parser keeps
+    the default metavar, because argparse names a subparsers action by
+    its metavar in the "invalid choice" and "required" errors, which only
+    the full parser can raise.
+    """
     parser = argparse.ArgumentParser(
         prog="coxangle",
         description="Exact minimal angles of spherical Tits diagrams.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar="{" + ",".join(_COMMANDS) + "}" if command else None,
+    )
 
     def add(name: str, help_text: str, spec: bool = True, node: bool = False,
             rel_rank: bool = False):
+        if command not in (None, name):
+            return
         p = sub.add_parser(name, help=help_text)
         if spec:
             p.add_argument("spec", nargs="?", help="specification file (DSL)")
@@ -313,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--orbit-budget", type=int, dest="orbit_budget",
                        help="orbit safety cap (default from "
                             "COXANGLE_ORBIT_BUDGET or 10^7)")
-        return p
 
     add("validate", "check the structural conditions of a Tits diagram")
     add("angle", "angular distance at a node", node=True)
@@ -327,7 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         ns = parser.parse_args(argv)
     except SystemExit as exc:

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import coxangle.cli as cli
 import coxangle.tits as tits_mod
 from coxangle.cli import EXIT_CATALOG, EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, run
 from coxangle.weyl import DEFAULT_ORBIT_BUDGET, ORBIT_BUDGET_ENV, orbit_budget
@@ -15,6 +16,8 @@ A7_SPEC = "diagram A7\nanisotropic 1 3 5 7\n"
 A5_FOLDED_SPEC = "diagram A5\ngamma (1 5)(2 4)\nanisotropic 1 2 4 5\n"
 BAD_OPPOSITION_SPEC = "diagram A3\nanisotropic 2 3\n"
 SYNTAX_ERROR_SPEC = "diagram A3\nfrobnicate 1\n"
+NOT_UTF8_SPEC = b"\xff\xfe\x00bad"
+B3_NODE3_JSON = '{"kind":"exact_cos","cos":"1/3","radians_approx":1.23095941734}\n'
 
 
 @pytest.fixture
@@ -38,7 +41,7 @@ class TestAngle:
         code, out, err = invoke("angle", "--diagram", "B3", "--node", "3",
                                 "--format", "json")
         assert code == EXIT_OK
-        assert out == '{"kind":"exact_cos","cos":"1/3","radians_approx":1.23095941734}\n'
+        assert out == B3_NODE3_JSON
         assert err == ""
 
     def test_table(self, invoke):
@@ -369,6 +372,118 @@ class TestErrorPaths:
     def test_no_diagram_and_no_file(self, invoke):
         code, _, err = invoke("min-angle")
         assert code == EXIT_DOMAIN
+
+    @pytest.mark.parametrize("command", ["validate", "min-angle", "fold", "enumerate"])
+    def test_non_utf8_spec_is_a_parse_error(self, invoke, tmp_path, command):
+        path = tmp_path / "input.spec"
+        path.write_bytes(NOT_UTF8_SPEC)
+        code, out, err = invoke(command, str(path))
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err == (f"error: cannot read {path}: "
+                       "not UTF-8 text (invalid start byte at byte 0)\n")
+
+    @pytest.mark.parametrize("command", ["validate", "min-angle"])
+    def test_non_utf8_spec_json_envelope(self, invoke, tmp_path, command):
+        path = tmp_path / "input.spec"
+        path.write_bytes(NOT_UTF8_SPEC)
+        code, out, err = invoke(command, str(path), "--format", "json")
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert json.loads(err) == {"error": {
+            "code": "ParseError",
+            "message": f"cannot read {path}: not UTF-8 text (invalid start byte at byte 0)",
+        }}
+
+
+# after each command: no options, help, then the parse errors argparse can
+# raise there (unknown option, bad int, bad choice, missing value, extra
+# positional)
+PARSER_TAILS = [[], ["-h"], ["--bogus"], ["--node", "x"], ["--format", "xml"],
+                ["--format"], ["a", "b"]]
+TOP_LEVEL_ARGVS = [[], ["-h"], ["bogus"], ["--format", "json"], ["--", "angle"]]
+DIFFERENTIAL_ARGVS = [
+    *([command, *tail] for command in cli._COMMANDS for tail in PARSER_TAILS),
+    *TOP_LEVEL_ARGVS,
+]
+
+
+class TestNarrowedParser:
+    """`run` builds only the named command's subparser; every command line
+    must behave exactly as under the full parser."""
+
+    @pytest.mark.parametrize("columns", ["80", "200"])
+    @pytest.mark.parametrize("argv", DIFFERENTIAL_ARGVS, ids=" ".join)
+    def test_matches_full_parser(self, invoke, monkeypatch, argv, columns):
+        monkeypatch.setenv("COLUMNS", columns)
+        narrowed = invoke(*argv)
+        full_parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: full_parser())
+        assert narrowed == invoke(*argv)
+
+    @pytest.mark.parametrize("argv, built", [
+        (["angle", "--diagram", "B3", "--node", "3"], "angle"),
+        (["catalog", "-h"], "catalog"),
+        (["--format", "json", "angle"], None),
+        (["-h"], None),
+        (["bogus"], None),
+        ([], None),
+    ], ids=["angle", "catalog-help", "option-first", "help", "unknown-command", "empty"])
+    def test_builds_only_the_named_command(self, invoke, monkeypatch, argv, built):
+        calls = []
+        build = cli.build_parser
+
+        def recording(command=None):
+            calls.append(command)
+            return build(command)
+
+        monkeypatch.setattr(cli, "build_parser", recording)
+        invoke(*argv)
+        assert calls == [built]
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "error: the following arguments are required: command\n"),
+        (["bogus"], "error: argument command: invalid choice: 'bogus'"),
+    ], ids=["no-command", "unknown-command"])
+    def test_full_parser_names_the_command_in_errors(self, invoke, argv, message):
+        code, out, err = invoke(*argv)
+        assert (code, out) == (EXIT_PARSE, "")
+        assert message in err
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_narrowed_parser_knows_only_its_command(self, capsys, command):
+        parser = cli.build_parser(command)
+        assert parser.parse_args([command]).command == command
+        for other in cli._COMMANDS.keys() - {command}:
+            with pytest.raises(SystemExit):
+                parser.parse_args([other])
+            assert "invalid choice" in capsys.readouterr().err
+
+    def test_reads_sys_argv_when_no_argv_given(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["coxangle", "angle", "--diagram", "B3",
+                                          "--node", "3", "--format", "json"])
+        assert run() == EXIT_OK
+        assert capsys.readouterr() == (B3_NODE3_JSON, "")
+
+
+class TestRunLeaksNoState:
+    """Two requests in one process answer as each does alone."""
+
+    ENUMERATE = ("enumerate", "--diagram", "A3", "--rel-rank", "1")
+    ANGLE = ("angle", "--diagram", "B3", "--node", "3", "--format", "json")
+
+    def test_consecutive_runs_answer_as_alone(self, invoke):
+        angle_alone = invoke(*self.ANGLE)
+        enumerate_first = invoke(*self.ENUMERATE)
+        angle_after = invoke(*self.ANGLE)
+        enumerate_after = invoke(*self.ENUMERATE)
+        assert angle_alone == angle_after == (EXIT_OK, B3_NODE3_JSON, "")
+        assert enumerate_first == enumerate_after
+        code, out, err = enumerate_after
+        assert (code, err) == (EXIT_OK, "")
+        assert [line.split() for line in out.splitlines()[2:]] == [
+            ["1", "3", "1", "pi/2", "0", "1.57079632679", "GT_PI_3"]
+        ]
 
 
 @pytest.fixture
