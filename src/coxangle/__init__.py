@@ -1,8 +1,14 @@
 """Exact minimal angles of spherical Tits diagrams.
 
-Builds rational root-system realizations, enumerates Weyl orbits exactly,
-folds diagrams under symmetry, and classifies minimal angles against the
-pi/3 threshold without ever touching floating point.
+Requests use closed forms: angular distances from the diagonal of the
+inverse Cartan matrix, opposition from a type table and folds from
+positive-root counts. Minimal angles are classified against the pi/3
+threshold without ever touching floating point. The rational root-system
+realizations (realize) serve weyl_orbit and the test oracles.
+
+The name coxangle.fold is the function fold, which this package root
+binds over the submodule of the same name; the module itself is
+sys.modules["coxangle.fold"].
 """
 
 from .angle import PI, PI_OVER_2, PI_OVER_3, Angle, Verdict, verdict_against_pi_over_3

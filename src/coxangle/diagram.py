@@ -127,9 +127,6 @@ class Permutation:
         """self after other: (self.compose(other))(i) = self(other(i))."""
         return Permutation(tuple(sorted((i, self.of(other.of(i))) for i in other.domain)))
 
-    def inverse(self) -> "Permutation":
-        return Permutation(tuple(sorted((j, i) for i, j in self.mapping)))
-
     @property
     def is_identity(self) -> bool:
         return all(i == j for i, j in self.mapping)
@@ -158,11 +155,6 @@ class Permutation:
             return "id"
         return "".join("(" + " ".join(str(x) for x in c) + ")" for c in cycs)
 
-    def restricted(self, keep: Iterable[int]) -> "Permutation":
-        keep_set = set(keep)
-        sub = {i: self.of(i) for i in keep_set}
-        return Permutation.from_dict(sub)
-
 
 @dataclass(frozen=True)
 class AutGroup:
@@ -190,18 +182,7 @@ class AutGroup:
     def elements(self) -> frozenset[Permutation]:
         """Closure of the generators (always contains the identity)."""
         ident = Permutation.identity(self.domain)
-        seen = {ident}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for e in frontier:
-                for g in self.generators:
-                    h = g.compose(e)
-                    if h not in seen:
-                        seen.add(h)
-                        nxt.append(h)
-            frontier = nxt
-        return frozenset(seen)
+        return frozenset(_reach(ident, lambda e: (g.compose(e) for g in self.generators)))
 
     def order(self) -> int:
         return len(self.elements())
@@ -383,35 +364,40 @@ def restrict(d: CoxeterDiagram, keep: Iterable[int]) -> CoxeterDiagram:
     return CoxeterDiagram(tuple(sorted(keep_set)), edges)
 
 
+def _reach(start, step) -> set:
+    """start and everything reached from it by repeated step(x), an
+    iterable of successors, by depth-first search."""
+    seen, stack = {start}, [start]
+    while stack:
+        for y in step(stack.pop()):
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen
+
+
+def _partition(nodes: Iterable[int], step) -> tuple[tuple[int, ...], ...]:
+    """Classes of nodes under the reach of step, which must be symmetric
+    (edges, or the generators of a finite group), each sorted and ordered
+    by smallest member."""
+    classes: list[tuple[int, ...]] = []
+    placed: set[int] = set()
+    for x in sorted(nodes):
+        if x not in placed:
+            cls = _reach(x, step)
+            placed |= cls
+            classes.append(tuple(sorted(cls)))
+    return tuple(classes)
+
+
 def connected_components(d: CoxeterDiagram) -> list[CoxeterDiagram]:
     """Maximal connected subdiagrams, ordered by smallest label."""
-    remaining = set(d.nodes)
-    comps = []
-    while remaining:
-        start = min(remaining)
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for y in d.neighbors(x):
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        comps.append(restrict(d, seen))
-        remaining -= seen
-    return comps
+    return [restrict(d, c) for c in _partition(d.nodes, d.neighbors)]
 
 
 def component_of(d: CoxeterDiagram, i: int) -> CoxeterDiagram:
     """The connected component containing node i."""
-    if i not in d.node_set:
-        raise UnknownNode(f"node {i} not in diagram")
-    for comp in connected_components(d):
-        if i in comp.node_set:
-            return comp
-    raise AssertionError("unreachable")
+    return restrict(d, _reach(i, d.neighbors))
 
 
 def _classify_component(d: CoxeterDiagram) -> ComponentType:
@@ -590,21 +576,4 @@ def diagram_automorphisms(d: CoxeterDiagram) -> AutGroup:
 def orbits(d: CoxeterDiagram, g: AutGroup) -> tuple[tuple[int, ...], ...]:
     """Orbit partition of the node set, orbits ordered by smallest member."""
     check_automorphisms(d, g)
-    remaining = set(d.nodes)
-    out = []
-    while remaining:
-        start = min(remaining)
-        orb = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for p in g.generators:
-                    y = p.of(x)
-                    if y not in orb:
-                        orb.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        out.append(tuple(sorted(orb)))
-        remaining -= orb
-    return tuple(out)
+    return _partition(d.nodes, lambda x: (p.of(x) for p in g.generators))

@@ -52,19 +52,18 @@ def _positive_roots(d: CoxeterDiagram) -> int:
 
 
 def fold(d: CoxeterDiagram, g: AutGroup) -> FoldResult:
-    """Fold d by g; see FoldResult. Trivial g returns d unchanged."""
-    diag.check_automorphisms(d, g)
-    if g.is_trivial:
-        return FoldResult(d, {i: i for i in d.nodes})
+    """Fold d by g; see FoldResult. Trivial g returns d unchanged.
+
+    g swapping the two nodes of I_2(m) folds to A_1 by the same formula:
+    the one orbit has no bond to another, and no matrix is needed.
+    """
     orbits = diag.orbits(d, g)
     node_map = {i: min(orbit) for orbit in orbits for i in orbit}
-    if not all(ct.crystallographic for ct in diag.classify(d)):
-        if d.rank == 2 and len(orbits) == 1:
-            # I_2(m) swapped onto itself: W_gamma is generated by the single
-            # involution w_0, so the fold is A_1; no rational matrices exist
-            label = min(d.nodes)
-            folded = diag.new_diagram([label], [])
-            return FoldResult(folded, node_map)
+    if g.is_trivial:
+        return FoldResult(d, node_map)
+    if not (d.rank == 2 and len(orbits) == 1) and not all(
+        ct.crystallographic for ct in diag.classify(d)
+    ):
         raise NonCrystallographic(
             "folding with nontrivial symmetry needs a crystallographic diagram "
             "(or a single rank-2 diagram)"

@@ -240,7 +240,7 @@ class TestAngularDistance:
         with pytest.raises(NonCrystallographic):
             angular_distance(builtin("H4"), 4)
 
-    @pytest.mark.parametrize("name", ["A3", "A4", "B3", "B4", "D4", "F4", "G2"])
+    @pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "A3", "A4", "B3", "B4", "D4", "F4"])
     def test_matches_brute_force(self, name):
         # independent oracle: max cosine over the full-group orbit
         d = builtin(name)
