@@ -178,13 +178,9 @@ class Verdict(enum.Enum):
 
 
 def verdict_against_pi_over_3(a: Angle) -> Verdict:
-    """Exact trichotomy; rational comparisons only, no interval path."""
-    if a.kind == "pi":
-        rel = (a.value > Fraction(1, 3)) - (a.value < Fraction(1, 3))
-    else:
-        # angle > pi/3 exactly when cos < 1/2
-        half = Fraction(1, 2)
-        rel = (a.value < half) - (a.value > half)
+    """Exact trichotomy: the order against pi/3, whose cosine is 1/2, is a
+    rational comparison."""
+    rel = _compare(a, PI_OVER_3)
     if rel > 0:
         return Verdict.GreaterThanPiOver3
     if rel < 0:

@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from typing import Optional
 
@@ -199,13 +200,13 @@ def _cmd_orbit(ns) -> tuple[str, int]:
     doc = _load_doc(ns)
     d = doc.diagram
     node = _want_node(ns)
-    comp = diag.component_of(d, node)
-    size = weyl.orbit_size(comp, node, ns.orbit_budget)
-    order = weyl.group_order(comp)
-    rows = [[str(node), diag.type_name(comp), str(size), str(order)]]
+    size = weyl.orbit_size(d, node, ns.orbit_budget)
+    ct = diag.component_type(d, node)
+    order = math.prod(ct.degrees)
+    rows = [[str(node), ct.name, str(size), str(order)]]
     payload = {
         "node": node,
-        "component": diag.type_name(comp),
+        "component": ct.name,
         "orbit_size": size,
         "group_order": order,
     }

@@ -5,6 +5,11 @@ A diagram is stored as its sorted node-label tuple plus the set of labeled
 edges (i, j, m) with i < j and m >= 3; absent pairs mean m = 2. Labels are
 arbitrary positive integers so that restriction and folding can preserve the
 identity of surviving nodes.
+
+Components are classified in place: classify partitions the diagram once,
+and recognizes each component in one chain walk that reads degrees,
+neighbours and bond labels from the diagram itself, with no restricted
+copy.
 """
 
 from __future__ import annotations
@@ -357,7 +362,7 @@ def builtin(name: str) -> CoxeterDiagram:
 def restrict(d: CoxeterDiagram, keep: Iterable[int]) -> CoxeterDiagram:
     """Induced subdiagram on `keep`, original labels preserved."""
     keep_set = set(keep)
-    missing = keep_set - set(d.nodes)
+    missing = keep_set - d.node_set
     if missing:
         raise UnknownNode(f"nodes {sorted(missing)} not in diagram")
     edges = frozenset((a, b, m) for a, b, m in d.edges if a in keep_set and b in keep_set)
@@ -400,64 +405,55 @@ def component_of(d: CoxeterDiagram, i: int) -> CoxeterDiagram:
     return restrict(d, _reach(i, d.neighbors))
 
 
-def _classify_component(d: CoxeterDiagram) -> ComponentType:
-    """Recognize one connected diagram against the finite-type list."""
-    n = d.rank
-    nodes = d.nodes
-    if n == 1:
-        return ComponentType("A", 1, ((nodes[0], 1),))
-    if n == 2:
-        m = d.m(nodes[0], nodes[1])
-        canon = ((nodes[0], 1), (nodes[1], 2))
-        if m == 2:
-            raise AssertionError("disconnected pair passed as a component")
-        if m == 3:
-            return ComponentType("A", 2, canon)
-        if m == 4:
-            return ComponentType("B", 2, canon)
-        if m == 6:
-            return ComponentType("G", 2, canon)
-        return ComponentType("I2", 2, canon, m=m)
+def _chain(adjacency: dict[int, tuple[int, ...]], prev: Optional[int], cur: int) -> list[int]:
+    """cur and the nodes after it on the unbranched chain that leaves prev
+    through cur, up to its leaf."""
+    chain = [cur]
+    while nxt := [x for x in adjacency[cur] if x != prev]:
+        prev, cur = cur, nxt[0]
+        chain.append(cur)
+    return chain
 
-    if len(d.edges) != n - 1:
+
+def _classify_component(d: CoxeterDiagram, nodes: tuple[int, ...]) -> ComponentType:
+    """Recognize the connected component of d on nodes (sorted) against the
+    finite-type list.
+
+    The component is classified in place, in one walk: degrees, neighbours
+    and bond labels are read from d, and one chain walk gives the arms at a
+    branch node or the whole path. Rank 1 and 2 are paths; only G2 and
+    I2(m) need a rank-2 rule.
+    """
+    n = len(nodes)
+    adjacency = d._adjacency
+    # a connected graph is a tree exactly when its degrees sum to 2(n - 1)
+    if sum(len(adjacency[i]) for i in nodes) != 2 * (n - 1):
         raise NotSpherical(f"component on {list(nodes)} contains a circuit")
-    degrees = {i: d.degree(i) for i in nodes}
-    if any(deg > 3 for deg in degrees.values()):
+    if any(len(adjacency[i]) > 3 for i in nodes):
         raise NotSpherical(f"component on {list(nodes)} has a node of degree > 3")
-    branch = [i for i in nodes if degrees[i] == 3]
-    big = sorted(m for _, _, m in d.edges if m > 3)
+    branch = [i for i in nodes if len(adjacency[i]) == 3]
+    big = sorted(m for i in nodes for j in adjacency[i] if i < j and (m := d.m(i, j)) > 3)
     if len(branch) > 1:
         raise NotSpherical(f"component on {list(nodes)} has two branch nodes")
 
     if branch:
         if big:
             raise NotSpherical(f"branched component on {list(nodes)} with edge label > 3")
-        b = branch[0]
-        arms = []
-        for first in d.neighbors(b):
-            arm = [first]
-            prev, cur = b, first
-            while True:
-                nxt = [x for x in d.neighbors(cur) if x != prev]
-                if not nxt:
-                    break
-                prev, cur = cur, nxt[0]
-                arm.append(cur)
-            arms.append(arm)
-        arms.sort(key=lambda a: (len(a), a[-1]))
+        (b,) = branch
+        arms = sorted((_chain(adjacency, b, x) for x in adjacency[b]),
+                      key=lambda a: (len(a), a[-1]))
         lens = tuple(len(a) for a in arms)
-        if lens[0] == 1 and lens[1] == 1:
+        if lens[:2] == (1, 1):
             # D_n: two short arms become the fork, long arm runs to position 1
-            rank = n
-            canon = {b: rank - 2}
+            family = "D"
+            canon = {b: n - 2}
             short_sorted = sorted((arms[0][0], arms[1][0]))
-            canon[short_sorted[0]] = rank - 1
-            canon[short_sorted[1]] = rank
+            canon[short_sorted[0]] = n - 1
+            canon[short_sorted[1]] = n
             for k, lab in enumerate(arms[2]):
-                canon[lab] = rank - 3 - k
-            return ComponentType("D", rank, tuple(sorted(canon.items())))
-        if lens == (1, 2, 2) or lens == (1, 2, 3) or lens == (1, 2, 4):
-            rank = n
+                canon[lab] = n - 3 - k
+        elif lens in ((1, 2, 2), (1, 2, 3), (1, 2, 4)):
+            family = "E"
             canon = {b: 4, arms[0][0]: 2}
             # the length-2 arm holds positions 3 (inner) and 1 (leaf);
             # for E_6 the tie between the two length-2 arms is broken by leaf label
@@ -465,53 +461,55 @@ def _classify_component(d: CoxeterDiagram) -> ComponentType:
             canon[arms[1][1]] = 1
             for k, lab in enumerate(arms[2]):
                 canon[lab] = 5 + k
-            return ComponentType("E", rank, tuple(sorted(canon.items())))
-        raise NotSpherical(f"component on {list(nodes)}: branched shape {lens} is not finite")
+        else:
+            raise NotSpherical(f"component on {list(nodes)}: branched shape {lens} is not finite")
+        return ComponentType(family, n, tuple(sorted(canon.items())))
 
-    # path case
-    ends = [i for i in nodes if degrees[i] == 1]
-    start = min(ends)
-    path = [start]
-    prev, cur = None, start
-    while len(path) < n:
-        nxt = [x for x in d.neighbors(cur) if x != prev]
-        prev, cur = cur, nxt[0]
-        path.append(cur)
+    path = _chain(adjacency, None, next(i for i in nodes if len(adjacency[i]) < 2))
     labels = [d.m(path[k], path[k + 1]) for k in range(n - 1)]
-    if len(big) > 1 or (big and big[-1] > 6) or (big and big[-1] == 6):
+    if n == 2 and labels[0] > 4:
+        canon = ((path[0], 1), (path[1], 2))
+        if labels[0] == 6:
+            return ComponentType("G", 2, canon)
+        return ComponentType("I2", 2, canon, m=labels[0])
+    if len(big) > 1 or (big and big[-1] >= 6):
         raise NotSpherical(f"path component on {list(nodes)} with labels {labels} is not finite")
     if not big:
-        return ComponentType("A", n, tuple((lab, k + 1) for k, lab in enumerate(path)))
-    (special,) = big
-    pos = labels.index(special)
-    if special == 4:
+        family, ordered = "A", path
+    elif big == [4]:
+        pos = labels.index(4)
         if pos == n - 2:
-            ordered = path
+            family, ordered = "B", path
         elif pos == 0:
-            ordered = path[::-1]
+            family, ordered = "B", path[::-1]
         elif n == 4 and pos == 1:
-            return ComponentType("F", 4, tuple((lab, k + 1) for k, lab in enumerate(path)))
+            family, ordered = "F", path
         else:
             raise NotSpherical(
                 f"path component on {list(nodes)} with interior double edge is not finite"
             )
-        return ComponentType("B", n, tuple((lab, k + 1) for k, lab in enumerate(ordered)))
-    if special == 5:
+    else:
         if n not in (3, 4):
             raise NotSpherical(f"path component on {list(nodes)} with a 5-edge and rank {n}")
+        pos = labels.index(5)
         if pos == 0:
-            ordered = path
+            family, ordered = "H", path
         elif pos == n - 2:
-            ordered = path[::-1]
+            family, ordered = "H", path[::-1]
         else:
             raise NotSpherical(f"path component on {list(nodes)} with interior 5-edge")
-        return ComponentType("H", n, tuple((lab, k + 1) for k, lab in enumerate(ordered)))
-    raise AssertionError("unreachable")
+    return ComponentType(family, n, tuple((lab, k + 1) for k, lab in enumerate(ordered)))
 
 
 def classify(d: CoxeterDiagram) -> tuple[ComponentType, ...]:
-    """Recognized types of all components, ordered by smallest label."""
-    return tuple(_classify_component(c) for c in connected_components(d))
+    """Recognized types of all components, ordered by smallest label; each
+    component is classified in place, without a restricted copy."""
+    return tuple(_classify_component(d, c) for c in _partition(d.nodes, d.neighbors))
+
+
+def component_type(d: CoxeterDiagram, i: int) -> ComponentType:
+    """Recognized type of the connected component holding node i."""
+    return _classify_component(d, tuple(sorted(_reach(i, d.neighbors))))
 
 
 def type_name(d: CoxeterDiagram) -> str:

@@ -209,7 +209,7 @@ def angular_distance(d: CoxeterDiagram, i: int) -> Angle:
     of i (see _closed_form_cos), I2(m) gives 2pi/m, and H3 and H4 are
     refused.
     """
-    ct = diag.classify(diag.component_of(d, i))[0]
+    ct = diag.component_type(d, i)
     if ct.family == "I2":
         return Angle.rational_pi(2, ct.m)
     if not ct.crystallographic:

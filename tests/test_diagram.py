@@ -161,6 +161,39 @@ class TestClassification:
             new_diagram([1, 2, 3, 4, 5],
                         [(1, 2, 5), (2, 3, 3), (3, 4, 3), (4, 5, 3)])
 
+    # one case per rejection rule, with the message the CLI prints on stderr
+    @pytest.mark.parametrize(
+        "nodes,entries,message",
+        [
+            ([7, 3, 5, 40], [(3, 5, 3), (5, 7, 3), (3, 7, 4)],
+             "component on [3, 5, 7] contains a circuit"),
+            ([1, 2, 3, 4, 5, 6], [(1, 5, 3), (2, 5, 3), (3, 5, 3), (4, 5, 3)],
+             "component on [1, 2, 3, 4, 5] has a node of degree > 3"),
+            ([1, 2, 3, 4, 5, 6], [(1, 3, 3), (2, 3, 3), (3, 4, 3), (4, 5, 3), (4, 6, 3)],
+             "component on [1, 2, 3, 4, 5, 6] has two branch nodes"),
+            ([10, 20, 30, 40], [(10, 20, 4), (20, 30, 3), (20, 40, 3)],
+             "branched component on [10, 20, 30, 40] with edge label > 3"),
+            (list(range(1, 8)),
+             [(1, 2, 3), (2, 3, 3), (3, 4, 3), (4, 5, 3), (3, 6, 3), (6, 7, 3)],
+             "component on [1, 2, 3, 4, 5, 6, 7]: branched shape (2, 2, 2) is not finite"),
+            # the labels are listed along the path from its smaller end, 20
+            ([10, 20, 30, 99], [(20, 10, 3), (10, 30, 6)],
+             "path component on [10, 20, 30] with labels [3, 6] is not finite"),
+            ([1, 2, 3, 4, 5], [(1, 2, 3), (2, 3, 4), (3, 4, 3), (4, 5, 3)],
+             "path component on [1, 2, 3, 4, 5] with interior double edge is not finite"),
+            ([1, 2, 3, 4, 5], [(1, 2, 5), (2, 3, 3), (3, 4, 3), (4, 5, 3)],
+             "path component on [1, 2, 3, 4, 5] with a 5-edge and rank 5"),
+            ([1, 2, 3, 4], [(1, 2, 3), (2, 3, 5), (3, 4, 3)],
+             "path component on [1, 2, 3, 4] with interior 5-edge"),
+        ],
+        ids=["circuit", "degree-4", "two-branch-nodes", "branched-label", "branched-shape",
+             "path-labels", "interior-double-edge", "five-edge-rank", "interior-five-edge"],
+    )
+    def test_not_spherical_message(self, nodes, entries, message):
+        with pytest.raises(NotSpherical) as info:
+            new_diagram(nodes, entries)
+        assert str(info.value) == message
+
     def test_position_of_is_consistent(self):
         d = builtin("E6")
         (ct,) = classify(d)

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import coxangle.diagram as diagram_mod
 import helpers
 from coxangle.angle import PI, PI_OVER_2, PI_OVER_3, Angle, Verdict
 from coxangle.diagram import (
@@ -255,6 +256,24 @@ class TestAngularDistance:
         for i in d.nodes:
             comp = component_of(d, i)
             assert angular_distance(d, i) == angular_distance(comp, i)
+
+    def test_classifies_components_in_place(self, monkeypatch):
+        restricted = []
+        restrict = diagram_mod.restrict
+
+        def counting_restrict(d, keep):
+            restricted.append(keep)
+            return restrict(d, keep)
+
+        monkeypatch.setattr(diagram_mod, "restrict", counting_restrict)
+        d = builtin("E8+D5+B3+F4+G2+I2(7)+A1+A1")
+        diagram_mod.classify(d)
+        for i in d.nodes:
+            angular_distance(d, i)
+        assert restricted == []
+        # the counter sees the calls that do restrict
+        component_of(d, 1)
+        assert len(restricted) == 1
 
     def test_keyed_by_position_not_label(self):
         d1 = new_diagram([1, 2, 3], [(1, 2, 3), (2, 3, 3)])
