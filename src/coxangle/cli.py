@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from typing import Optional
 
@@ -378,4 +379,13 @@ def _print_error(exc: CoxangleError, fmt: str) -> None:
 
 
 def main() -> None:
-    sys.exit(run())
+    """Console entry point. A reader that closes the pipe early (`| head`)
+    ends the run with exit 1 and nothing on stderr: stdout is pointed at
+    devnull so that the flush at shutdown cannot fail again."""
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1  # the status Python itself gives an EPIPE exit
+    sys.exit(code)

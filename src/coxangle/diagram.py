@@ -15,6 +15,7 @@ copy.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -187,7 +188,7 @@ class AutGroup:
     def elements(self) -> frozenset[Permutation]:
         """Closure of the generators (always contains the identity)."""
         ident = Permutation.identity(self.domain)
-        return frozenset(_reach(ident, lambda e: (g.compose(e) for g in self.generators)))
+        return frozenset(_reach((ident,), lambda e: (g.compose(e) for g in self.generators)))
 
     def order(self) -> int:
         return len(self.elements())
@@ -234,9 +235,7 @@ class ComponentType:
 
     @property
     def crystallographic(self) -> bool:
-        if self.family in ("A", "B", "D", "E", "F", "G"):
-            return True
-        return False
+        return self.family in ("A", "B", "D", "E", "F", "G")
 
     @property
     def degrees(self) -> tuple[int, ...]:
@@ -267,7 +266,7 @@ def new_diagram(nodes: Iterable[int], entries: Iterable[tuple[int, int, int]]) -
         if not isinstance(n, int) or isinstance(n, bool) or n <= 0:
             raise InvalidEntry(f"node labels must be positive integers, got {n!r}")
     if len(set(node_list)) != len(node_list):
-        dupes = sorted({n for n in node_list if node_list.count(n) > 1})
+        dupes = sorted(n for n, k in Counter(node_list).items() if k > 1)
         raise DuplicateLabel(f"duplicate node labels: {dupes}")
     node_set = set(node_list)
     edge_map: dict[tuple[int, int], int] = {}
@@ -360,19 +359,22 @@ def builtin(name: str) -> CoxeterDiagram:
 
 
 def restrict(d: CoxeterDiagram, keep: Iterable[int]) -> CoxeterDiagram:
-    """Induced subdiagram on `keep`, original labels preserved."""
+    """Induced subdiagram on `keep`, original labels preserved. Its edges
+    come from the kept nodes' adjacency, not from a scan of every edge
+    of d."""
     keep_set = set(keep)
     missing = keep_set - d.node_set
     if missing:
         raise UnknownNode(f"nodes {sorted(missing)} not in diagram")
-    edges = frozenset((a, b, m) for a, b, m in d.edges if a in keep_set and b in keep_set)
+    edges = frozenset((a, b, d._edge_map[a, b]) for a in keep_set
+                      for b in d._adjacency[a] if a < b and b in keep_set)
     return CoxeterDiagram(tuple(sorted(keep_set)), edges)
 
 
-def _reach(start, step) -> set:
-    """start and everything reached from it by repeated step(x), an
+def _reach(starts: Sequence, step) -> set:
+    """starts and everything reached from them by repeated step(x), an
     iterable of successors, by depth-first search."""
-    seen, stack = {start}, [start]
+    seen, stack = set(starts), list(starts)
     while stack:
         for y in step(stack.pop()):
             if y not in seen:
@@ -389,7 +391,7 @@ def _partition(nodes: Iterable[int], step) -> tuple[tuple[int, ...], ...]:
     placed: set[int] = set()
     for x in sorted(nodes):
         if x not in placed:
-            cls = _reach(x, step)
+            cls = _reach((x,), step)
             placed |= cls
             classes.append(tuple(sorted(cls)))
     return tuple(classes)
@@ -402,7 +404,7 @@ def connected_components(d: CoxeterDiagram) -> list[CoxeterDiagram]:
 
 def component_of(d: CoxeterDiagram, i: int) -> CoxeterDiagram:
     """The connected component containing node i."""
-    return restrict(d, _reach(i, d.neighbors))
+    return restrict(d, _reach((i,), d.neighbors))
 
 
 def _chain(adjacency: dict[int, tuple[int, ...]], prev: Optional[int], cur: int) -> list[int]:
@@ -509,7 +511,7 @@ def classify(d: CoxeterDiagram) -> tuple[ComponentType, ...]:
 
 def component_type(d: CoxeterDiagram, i: int) -> ComponentType:
     """Recognized type of the connected component holding node i."""
-    return _classify_component(d, tuple(sorted(_reach(i, d.neighbors))))
+    return _classify_component(d, tuple(sorted(_reach((i,), d.neighbors))))
 
 
 def type_name(d: CoxeterDiagram) -> str:

@@ -9,6 +9,13 @@ its search checks the opposition clause of each isotropic orbit itself and
 prunes on the first failure, and it folds (M, Gamma) once for all of its
 kernels, and only if some kernel is valid.
 
+An isotropic orbit O's opposition clause and its angle depend only on O's
+rank-one piece: O and the anisotropic nodes joined to it through A, which
+are the components of A u O that meet O. validate and minimal_angle_report
+read each clause and each angle on that piece (_rank_one_piece), and the
+search of enumerate_indices forms the same piece as its C, so no pass
+restricts to the whole anisotropic set once per orbit.
+
 The angular distance at a node only depends on its connected component (the
 Weyl group acts componentwise and the fundamental weight lies in the
 component's root span), so everything reduces to a classified component and
@@ -93,7 +100,12 @@ class ValidationReport:
 
 
 def validate(t: TitsDiagram) -> ValidationReport:
-    """Check the three structural conditions; violations are data, not errors."""
+    """Check the three structural conditions; violations are data, not errors.
+
+    The opposition clause of an isotropic orbit O is read on O's rank-one
+    piece (_rank_one_piece); its message names all of A u O, the
+    restriction whose opposition the clause is about.
+    """
     violations = []
     for p in t.gamma.generators:
         if not diag.is_automorphism(t.diagram, p):
@@ -118,8 +130,7 @@ def validate(t: TitsDiagram) -> ValidationReport:
                 )
             )
         elif not inside:
-            sub = diag.restrict(t.diagram, aniso.union(orbit))
-            sigma = weyl.opposition(sub)
+            sigma = weyl.opposition(_rank_one_piece(t.diagram, aniso, orbit))
             image = frozenset(sigma(i) for i in orbit)
             if image != frozenset(orbit):
                 violations.append(
@@ -131,6 +142,18 @@ def validate(t: TitsDiagram) -> ValidationReport:
                     )
                 )
     return ValidationReport(tuple(violations))
+
+
+def _rank_one_piece(d: CoxeterDiagram, aniso: frozenset[int], orbit) -> CoxeterDiagram:
+    """d restricted to the rank-one piece of the isotropic orbit: the orbit
+    and the nodes of aniso joined to it through aniso, which are the
+    components of aniso u orbit that meet the orbit.
+
+    Opposition and angular distance act componentwise, so the orbit's
+    opposition clause and its angle read on the piece are those read on all
+    of aniso u orbit.
+    """
+    return diag.restrict(d, diag._reach(orbit, lambda i: aniso.intersection(d.neighbors(i))))
 
 
 def ensure_valid(t: TitsDiagram) -> None:
@@ -223,25 +246,19 @@ def minimal_angle_report(t: TitsDiagram) -> tuple[Angle, list[tuple[int, ...]]]:
     """Minimal angle plus the isotropic orbits achieving it (tie diagnostics).
 
     Folds by fold_tits, then takes the angular distance at each isotropic
-    node of the fold in its rank-one subdiagram: the restriction of the
-    folded diagram to the folded A and that node.
+    node v of the fold on its rank-one piece: v and the nodes of the folded
+    A joined to it through the folded A (_rank_one_piece).
     """
     folding, folded_a = fold_tits(t)
-    isotropic = [i for i in folding.folded.nodes if i not in folded_a]
-    if not isotropic:
-        raise ZeroRelativeRank(
-            "every node is anisotropic; the minimal angle is undefined"
-        )
-    best: Optional[Angle] = None
-    achieving: list[tuple[int, ...]] = []
-    for node in isotropic:
-        angle = angular_distance(diag.restrict(folding.folded, folded_a | {node}), node)
-        orbit = tuple(sorted(o for o, f in folding.node_map.items() if f == node))
-        if best is None or angle < best:
-            best, achieving = angle, [orbit]
-        elif angle == best:
-            achieving.append(orbit)
-    return best, achieving
+    angles = {v: angular_distance(_rank_one_piece(folding.folded, folded_a, (v,)), v)
+              for v in folding.folded.nodes if v not in folded_a}
+    if not angles:
+        raise ZeroRelativeRank("every node is anisotropic; the minimal angle is undefined")
+    orbits: dict[int, list[int]] = {}
+    for i, v in sorted(folding.node_map.items()):
+        orbits.setdefault(v, []).append(i)
+    best = min(angles.values())
+    return best, [tuple(orbits[v]) for v, angle in angles.items() if angle == best]
 
 
 def minimal_angle(t: TitsDiagram) -> Angle:
@@ -288,15 +305,15 @@ def enumerate_indices(
     kernels = _search_kernels(d, orbits, rel_rank)
     if not kernels:
         return []
-    folding = fold(d, g)
-    folded, node_map = folding.folded, folding.node_map
+    # the fold labels each orbit by its smallest member, orbits[p][0]
+    folded = fold(d, g).folded
     angles: dict[_Key, Angle] = {}
 
     def angle_at(key: _Key) -> Angle:
         if key not in angles:
             o, comp = key
-            sub = diag.restrict(folded, {node_map[orbits[p][0]] for p in comp})
-            angles[key] = angular_distance(sub, node_map[orbits[o][0]])
+            sub = diag.restrict(folded, {orbits[p][0] for p in comp})
+            angles[key] = angular_distance(sub, orbits[o][0])
         return angles[key]
 
     results = []

@@ -61,7 +61,6 @@ def _identity_matrix(n: int) -> Matrix:
 
 
 def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
     bt = tuple(zip(*b))
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a

@@ -9,7 +9,10 @@ the closed form it checks. orbit_generators also reuses the library's
 longest_element: it realizes the w_J that fold.fold never builds, so the
 folded bonds, read off positive-root counts, can be checked against the
 order of w_J·w_K. brute_enumerate validates every candidate kernel, where
-tits.enumerate_indices searches with pruning.
+tits.enumerate_indices searches with pruning. whole_set_violations and
+whole_set_minimal_angle_report read each isotropic orbit's opposition
+clause and angle on the whole anisotropic set, where tits reads them on
+the orbit's rank-one piece.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from coxangle import tits as tits_mod
 from coxangle import weyl
 from coxangle.angle import verdict_against_pi_over_3
 from coxangle.diagram import AutGroup, CoxeterDiagram, Permutation
+from coxangle.errors import InvalidTitsDiagram, ZeroRelativeRank
+from coxangle.fold import fold
 
 
 def full_group_matrices(r: geom.Realization) -> frozenset:
@@ -174,6 +179,61 @@ def brute_enumerate(d: CoxeterDiagram, g: AutGroup, rel_rank=None) -> list:
                 results.append((t, angle, verdict_against_pi_over_3(angle)))
     results.sort(key=lambda row: tuple(sorted(row[0].anisotropic)))
     return results
+
+
+def whole_set_violations(t) -> tuple:
+    """tits.validate's violations, with the opposition clause of each
+    isotropic orbit O read on the restriction to all of A u O."""
+    Violation = tits_mod.Violation
+    violations = [
+        Violation("gamma-not-automorphism", None,
+                  f"{p.cycle_string()} is not an automorphism of the diagram")
+        for p in t.gamma.generators if not diag.is_automorphism(t.diagram, p)
+    ]
+    if violations:
+        return tuple(violations)
+    aniso = t.anisotropic
+    for orbit in diag.orbits(t.diagram, t.gamma):
+        inside = aniso.intersection(orbit)
+        if inside and len(inside) < len(orbit):
+            violations.append(Violation(
+                "A-not-invariant", orbit,
+                f"orbit {set(orbit)} meets the anisotropic set without being contained in it",
+            ))
+        elif not inside:
+            whole = sorted(aniso.union(orbit))
+            sigma = weyl.opposition(diag.restrict(t.diagram, whole))
+            image = frozenset(sigma(i) for i in orbit)
+            if image != frozenset(orbit):
+                violations.append(Violation(
+                    "opposition-violated", orbit,
+                    f"opposition maps orbit {set(orbit)} to {set(image)} "
+                    f"in the restriction to {whole}",
+                ))
+    return tuple(violations)
+
+
+def whole_set_minimal_angle_report(t) -> tuple:
+    """tits.minimal_angle_report with each folded isotropic node v's angle
+    read on the restriction of the fold to all of A' u {v}, and the tied
+    orbits gathered by a scan of the node map per node."""
+    violations = whole_set_violations(t)
+    if violations:
+        raise InvalidTitsDiagram(violations)
+    folding = fold(t.diagram, t.gamma)
+    folded_a = frozenset(folding.node_map[a] for a in t.anisotropic)
+    isotropic = [v for v in folding.folded.nodes if v not in folded_a]
+    if not isotropic:
+        raise ZeroRelativeRank("every node is anisotropic; the minimal angle is undefined")
+    best, achieving = None, []
+    for v in isotropic:
+        angle = tits_mod.angular_distance(diag.restrict(folding.folded, folded_a | {v}), v)
+        orbit = tuple(sorted(i for i, f in folding.node_map.items() if f == v))
+        if best is None or angle < best:
+            best, achieving = angle, [orbit]
+        elif angle == best:
+            achieving.append(orbit)
+    return best, achieving
 
 
 def relabeled(d: CoxeterDiagram, rng) -> CoxeterDiagram:

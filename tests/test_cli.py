@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -394,6 +396,24 @@ class TestErrorPaths:
             "code": "ParseError",
             "message": f"cannot read {path}: not UTF-8 text (invalid start byte at byte 0)",
         }}
+
+
+class TestClosedPipe:
+    def test_reader_closing_early_gets_no_traceback(self):
+        # 4,095 rows, far more than a pipe buffer holds, so the write meets
+        # the closed pipe
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "coxangle", "enumerate", "--diagram", "+".join(["A1"] * 12)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        assert proc.stdout.read(200).startswith(b"anisotropic")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == b""
 
 
 # after each command: no options, help, then the parse errors argparse can

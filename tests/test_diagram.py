@@ -36,6 +36,16 @@ class TestConstruction:
         with pytest.raises(DuplicateLabel):
             new_diagram([1, 2, 2], [])
 
+    @pytest.mark.parametrize("nodes,dupes", [
+        ([7, 2, 7, 5, 2, 2, 1], "[2, 7]"),
+        # 100,000 labels: listing the duplicates must not rescan the list per label
+        ([*range(99_998, 0, -1), 70_000, 3], "[3, 70000]"),
+    ], ids=["small", "100000-labels"])
+    def test_duplicate_label_message(self, nodes, dupes):
+        with pytest.raises(DuplicateLabel) as exc:
+            new_diagram(nodes, [])
+        assert str(exc.value) == f"duplicate node labels: {dupes}"
+
     def test_edge_label_below_two_rejected(self):
         with pytest.raises(InvalidEntry):
             new_diagram([1, 2], [(1, 2, 1)])

@@ -333,6 +333,25 @@ def test_angles_invariant_under_relabelling(data):
 
 
 class TestMinimalAngle:
+    def test_reads_rank_one_pieces_only(self, monkeypatch):
+        # each isotropic node 2k of A41 with the odd nodes anisotropic has
+        # the piece {2k-1, 2k, 2k+1}; the whole A u O has 22 nodes
+        kept = []
+        restrict = diagram_mod.restrict
+
+        def counting_restrict(d, keep):
+            keep = set(keep)
+            kept.append(len(keep))
+            return restrict(d, keep)
+
+        monkeypatch.setattr(diagram_mod, "restrict", counting_restrict)
+        t = tits_diagram(builtin("A41"), anisotropic=range(1, 42, 2))
+        assert validate(t).ok
+        assert minimal_angle_report(t) == (PI_OVER_2, [(i,) for i in range(2, 41, 2)])
+        # 20 orbits, each once in validate, once in the report's own
+        # validation and once for its angle
+        assert kept == [3] * 60
+
     def test_quasi_split_is_pi(self):
         for name in ("A1", "A5", "B3", "D4", "E8", "F4", "G2", "H4", "I2(9)"):
             assert minimal_angle(qs(name)) == PI
@@ -516,9 +535,9 @@ def _enumerate_cases() -> list:
     return cases
 
 
-def _outcome(enumerate_fn, d, g, rel_rank):
+def _outcome(fn, *args):
     try:
-        return enumerate_fn(d, g, rel_rank)
+        return fn(*args)
     except CoxangleError as e:
         return type(e).__name__, str(e)
 
@@ -621,6 +640,32 @@ def test_quasi_split_law_over_subgroups(name):
         t = TitsDiagram(d, g, frozenset())
         assert validate(t).ok
         assert minimal_angle(t) == PI
+
+
+PIECE_PARTS = ["A1", "A2", "A3", "A4", "A5", "B3", "D4", "D5", "E6", "F4", "G2", "I2(5)", "H3"]
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.data())
+def test_rank_one_pieces_match_whole_set_reference(data):
+    # a relabelled sum, a random subgroup of its automorphisms and a random
+    # A, either a union of orbits or any node set
+    names = data.draw(st.lists(st.sampled_from(PIECE_PARTS), min_size=1, max_size=3))
+    d = helpers.relabeled(builtin("+".join(names)), data.draw(st.randoms(use_true_random=False)))
+    automorphisms = sorted(diagram_automorphisms(d).generators, key=lambda p: p.mapping)
+    picked = data.draw(st.lists(st.sampled_from(automorphisms), min_size=1, max_size=2,
+                                unique=True) if automorphisms else st.just([]))
+    g = AutGroup.generated_by(picked, d.nodes)
+    if data.draw(st.booleans()):
+        orbits = diagram_mod.orbits(d, g)
+        taken = data.draw(st.lists(st.booleans(), min_size=len(orbits), max_size=len(orbits)))
+        aniso = {i for orbit, take in zip(orbits, taken) if take for i in orbit}
+    else:
+        aniso = data.draw(st.sets(st.sampled_from(d.nodes)))
+    t = TitsDiagram(d, g, frozenset(aniso))
+    assert validate(t).violations == helpers.whole_set_violations(t)
+    assert (_outcome(minimal_angle_report, t)
+            == _outcome(helpers.whole_set_minimal_angle_report, t))
 
 
 class TestPublicEntryPointsStillCheck:
