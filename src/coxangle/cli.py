@@ -1,10 +1,21 @@
 """Command-line interface.
 
 Commands wrap the library operations one to one; all exact values are
-computed by the library and only formatted here. Exit codes: 0 success,
-1 domain or validation error, 2 parse/usage error, 3 catalog mismatch.
-In JSON mode errors go to stderr as a single JSON document with a
-machine-readable code.
+computed by the library and only formatted here. Every request takes one
+path through `run`: parse the command line, load the input once as a
+TitsDiagram (a builtin or a plain diagram becomes quasi-split), call the
+command's handler, and emit its headers, rows and JSON payload in the
+chosen format. `_COMMANDS` is the one table of commands: dispatch, both
+argument parsers and the rule of which parses validate the spec read it.
+
+`catalog` takes neither a spec file nor `--diagram`; every other command
+takes one of them. Every command accepts `--format` and `--orbit-budget`,
+but only `orbit` reads the budget.
+
+Exit codes: 0 success, 1 domain or validation error, 2 parse/usage error,
+3 catalog mismatch. In JSON mode the errors a command raises go to stderr
+as a single JSON document with a machine-readable code; a usage error
+(exit 2 from argparse) prints argparse's plain-text usage in every format.
 """
 
 from __future__ import annotations
@@ -16,14 +27,14 @@ import json
 import math
 import os
 import sys
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import diagram as diag
 from . import dsl
 from . import tits as tits_mod
 from . import weyl
 from .angle import Angle
-from .diagram import AutGroup, CoxeterDiagram
+from .diagram import CoxeterDiagram
 from .errors import CoxangleError, ParseError
 from .fold import fold_tits
 from .tits import TitsDiagram
@@ -63,30 +74,26 @@ def _emit(fmt: str, headers: list[str], rows: list[list[str]], payload: dict) ->
         return json.dumps(payload, separators=(",", ":"))
     if fmt == "csv":
         return _csv(headers, rows)
+    if payload.get("ok") and not rows:
+        return "ok"  # a valid `validate` report
     return _table(headers, rows)
 
 
-def _load_doc(ns) -> dsl.SpecDocument:
-    if getattr(ns, "diagram", None):
-        d = diag.builtin(ns.diagram)
-        return dsl.SpecDocument(source="", payload=d, filename=None)
-    spec_path = getattr(ns, "spec", None)
-    if not spec_path:
+def _load(ns: argparse.Namespace, require_valid: bool) -> TitsDiagram:
+    if ns.diagram:
+        return tits_mod.tits_diagram(diag.builtin(ns.diagram))
+    if not ns.spec:
         raise CoxangleError("provide a spec file or --diagram <builtin>")
     try:
-        with open(spec_path, encoding="utf-8") as fh:
+        with open(ns.spec, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise CoxangleError(f"cannot read {spec_path}: {exc.strerror}") from exc
+        raise CoxangleError(f"cannot read {ns.spec}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(
-            f"cannot read {spec_path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+            f"cannot read {ns.spec}: not UTF-8 text ({exc.reason} at byte {exc.start})"
         ) from exc
-    # min-angle and fold validate in fold_tits, so the parse does not
-    return dsl.parse_spec(
-        text, filename=spec_path,
-        require_valid=ns.command not in ("validate", "min-angle", "fold"),
-    )
+    return dsl.parse_spec(text, filename=ns.spec, require_valid=require_valid).tits
 
 
 def _diagram_json(d: CoxeterDiagram) -> dict:
@@ -97,202 +104,156 @@ def _diagram_json(d: CoxeterDiagram) -> dict:
     }
 
 
-def _cmd_validate(ns) -> tuple[str, int]:
-    doc = _load_doc(ns)
-    report = tits_mod.validate(doc.tits)
-    rows = [[v.clause, " ".join(map(str, v.orbit or ())), v.message] for v in report.violations]
-    payload = {
-        "ok": report.ok,
-        "violations": [
-            {"clause": v.clause, "orbit": list(v.orbit or ()), "message": v.message}
-            for v in report.violations
-        ],
-    }
-    if ns.format == "table" and report.ok:
-        return "ok", EXIT_OK
-    out = _emit(ns.format, ["clause", "orbit", "message"], rows, payload)
-    return out, EXIT_OK if report.ok else EXIT_DOMAIN
-
-
 def _want_node(ns) -> int:
     if ns.node is None:
         raise CoxangleError("this command needs --node <i>")
     return ns.node
 
 
-def _cmd_angle(ns) -> tuple[str, int]:
-    doc = _load_doc(ns)
-    d = doc.diagram
-    node = _want_node(ns)
-    a = tits_mod.angular_distance(d, node)
-    cells = _angle_cells(a)
-    out = _emit(
-        ns.format,
-        ["angle", "cos", "radians_approx"],
-        [list(cells)],
-        a.to_json(),
-    )
-    return out, EXIT_OK
+def _cmd_validate(t: TitsDiagram, ns):
+    report = tits_mod.validate(t)
+    rows = [[v.clause, " ".join(map(str, v.orbit or ())), v.message] for v in report.violations]
+    payload = {"ok": report.ok, "violations": [
+        {"clause": v.clause, "orbit": list(v.orbit or ()), "message": v.message}
+        for v in report.violations
+    ]}
+    return ["clause", "orbit", "message"], rows, payload, EXIT_OK if report.ok else EXIT_DOMAIN
 
 
-def _cmd_min_angle(ns) -> tuple[str, int]:
-    doc = _load_doc(ns)
-    t = doc.tits
+def _cmd_angle(t: TitsDiagram, ns):
+    a = tits_mod.angular_distance(t.diagram, _want_node(ns))
+    return ["angle", "cos", "radians_approx"], [list(_angle_cells(a))], a.to_json()
+
+
+def _cmd_min_angle(t: TitsDiagram, ns):
     a, achieved = tits_mod.minimal_angle_report(t)
     verdict = tits_mod.verdict_against_pi_over_3(a)
-    angle_s, cos_s, rad_s = _angle_cells(a)
     achieved_s = " ".join("{" + ",".join(map(str, orb)) + "}" for orb in achieved)
-    payload = {
-        "angle": a.to_json(),
-        "verdict": verdict.code,
-        "achieved_by": [list(orb) for orb in achieved],
-    }
-    out = _emit(
-        ns.format,
-        ["angle", "cos", "radians_approx", "verdict", "achieved_by"],
-        [[angle_s, cos_s, rad_s, verdict.code, achieved_s]],
-        payload,
-    )
-    return out, EXIT_OK
+    payload = {"angle": a.to_json(), "verdict": verdict.code,
+               "achieved_by": [list(orb) for orb in achieved]}
+    headers = ["angle", "cos", "radians_approx", "verdict", "achieved_by"]
+    return headers, [[*_angle_cells(a), verdict.code, achieved_s]], payload
 
 
-def _cmd_fold(ns) -> tuple[str, int]:
-    result, folded_a = fold_tits(_load_doc(ns).tits)
+def _cmd_fold(t: TitsDiagram, ns):
+    result, folded_a = fold_tits(t)
     aniso = sorted(folded_a)
-    rows = [
-        [
-            diag.type_name(result.folded),
-            " ".join(map(str, result.folded.nodes)),
-            " ".join(f"({i},{j},{m})" for i, j, m in sorted(result.folded.edges)),
-            " ".join(f"{k}->{v}" for k, v in sorted(result.node_map.items())),
-            " ".join(map(str, aniso)),
-        ]
-    ]
+    rows = [[
+        diag.type_name(result.folded),
+        " ".join(map(str, result.folded.nodes)),
+        " ".join(f"({i},{j},{m})" for i, j, m in sorted(result.folded.edges)),
+        " ".join(f"{k}->{v}" for k, v in sorted(result.node_map.items())),
+        " ".join(map(str, aniso)),
+    ]]
     payload = {
         "folded": _diagram_json(result.folded),
         "node_map": {str(k): v for k, v in sorted(result.node_map.items())},
         "anisotropic": aniso,
     }
-    out = _emit(
-        ns.format, ["type", "nodes", "edges", "node_map", "anisotropic"], rows, payload
-    )
-    return out, EXIT_OK
+    return ["type", "nodes", "edges", "node_map", "anisotropic"], rows, payload
 
 
-def _cmd_opposition(ns) -> tuple[str, int]:
-    doc = _load_doc(ns)
-    d = doc.diagram
-    sigma = weyl.opposition(d)
-    mapping = {i: sigma(i) for i in d.nodes}
-    payload = {
-        "opposition": sigma.cycle_string(),
-        "mapping": {str(k): v for k, v in mapping.items()},
-    }
-    out = _emit(
-        ns.format,
-        ["opposition", "mapping"],
-        [[sigma.cycle_string(), " ".join(f"{k}->{v}" for k, v in mapping.items())]],
-        payload,
-    )
-    return out, EXIT_OK
+def _cmd_opposition(t: TitsDiagram, ns):
+    sigma = weyl.opposition(t.diagram)
+    mapping = {i: sigma(i) for i in t.diagram.nodes}
+    payload = {"opposition": sigma.cycle_string(),
+               "mapping": {str(k): v for k, v in mapping.items()}}
+    rows = [[sigma.cycle_string(), " ".join(f"{k}->{v}" for k, v in mapping.items())]]
+    return ["opposition", "mapping"], rows, payload
 
 
-def _cmd_orbit(ns) -> tuple[str, int]:
-    doc = _load_doc(ns)
-    d = doc.diagram
+def _cmd_orbit(t: TitsDiagram, ns):
     node = _want_node(ns)
-    size = weyl.orbit_size(d, node, ns.orbit_budget)
-    ct = diag.component_type(d, node)
+    size = weyl.orbit_size(t.diagram, node, ns.orbit_budget)
+    ct = diag.component_type(t.diagram, node)
     order = math.prod(ct.degrees)
-    rows = [[str(node), ct.name, str(size), str(order)]]
-    payload = {
-        "node": node,
-        "component": ct.name,
-        "orbit_size": size,
-        "group_order": order,
-    }
-    out = _emit(
-        ns.format, ["node", "component", "orbit_size", "group_order"], rows, payload
-    )
-    return out, EXIT_OK
+    payload = {"node": node, "component": ct.name, "orbit_size": size, "group_order": order}
+    return list(payload), [list(map(str, payload.values()))], payload
 
 
-def _cmd_enumerate(ns) -> tuple[str, int]:
-    doc = _load_doc(ns)
-    if isinstance(doc.payload, TitsDiagram):
-        d, g = doc.payload.diagram, doc.payload.gamma
-    else:
-        d, g = doc.payload, AutGroup.trivial(doc.payload.nodes)
-    results = tits_mod.enumerate_indices(d, g, ns.rel_rank)
-    orbits = diag.orbits(d, g)
+def _cmd_enumerate(t: TitsDiagram, ns):
+    results = tits_mod.enumerate_indices(t.diagram, t.gamma, ns.rel_rank)
+    orbits = diag.orbits(t.diagram, t.gamma)
     headers = ["anisotropic", "rel_rank", "angle", "cos", "radians_approx", "verdict"]
     rows = []
     entries = []
-    for t, a, v in results:
-        aniso = sorted(t.anisotropic)
-        rel = sum(not t.anisotropic.issuperset(orbit) for orbit in orbits)
-        angle_s, cos_s, rad_s = _angle_cells(a)
-        rows.append(
-            [" ".join(map(str, aniso)) or "-", str(rel), angle_s, cos_s, rad_s, v.code]
-        )
-        entries.append(
-            {
-                "anisotropic": aniso,
-                "rel_rank": rel,
-                "angle": a.to_json(),
-                "verdict": v.code,
-            }
-        )
+    for index, a, v in results:
+        aniso = sorted(index.anisotropic)
+        rel = sum(not index.anisotropic.issuperset(orbit) for orbit in orbits)
+        rows.append([" ".join(map(str, aniso)) or "-", str(rel), *_angle_cells(a), v.code])
+        entries.append({"anisotropic": aniso, "rel_rank": rel, "angle": a.to_json(),
+                        "verdict": v.code})
     payload = {
-        "diagram": _diagram_json(d),
+        "diagram": _diagram_json(t.diagram),
         "note": "combinatorial validity only; arithmetic existence not checked",
         "entries": entries,
     }
-    out = _emit(ns.format, headers, rows, payload)
-    return out, EXIT_OK
+    return headers, rows, payload
 
 
-def _cmd_catalog(ns) -> tuple[str, int]:
+def _cmd_catalog(t, ns):
     headers = ["name", "type", "anisotropic", "expected", "computed", "status"]
     rows = []
     entries = []
-    failures = 0
     for entry in tits_mod.reference_catalog():
         computed = tits_mod.minimal_angle(entry.tits)
         ok = computed == entry.expected
-        failures += 0 if ok else 1
-        rows.append(
-            [
-                entry.name,
-                diag.type_name(entry.tits.diagram),
-                " ".join(map(str, sorted(entry.tits.anisotropic))) or "-",
-                str(entry.expected),
-                str(computed),
-                "PASS" if ok else "FAIL",
-            ]
-        )
-        entries.append(
-            {
-                "name": entry.name,
-                "expected": entry.expected.to_json(),
-                "computed": computed.to_json(),
-                "ok": ok,
-            }
-        )
-    payload = {"ok": failures == 0, "entries": entries}
-    out = _emit(ns.format, headers, rows, payload)
-    return out, EXIT_OK if failures == 0 else EXIT_CATALOG
+        rows.append([entry.name, diag.type_name(entry.tits.diagram),
+                     " ".join(map(str, sorted(entry.tits.anisotropic))) or "-",
+                     str(entry.expected), str(computed), "PASS" if ok else "FAIL"])
+        entries.append({"name": entry.name, "expected": entry.expected.to_json(),
+                        "computed": computed.to_json(), "ok": ok})
+    ok = all(e["ok"] for e in entries)
+    return headers, rows, {"ok": ok, "entries": entries}, EXIT_OK if ok else EXIT_CATALOG
+
+
+def _option(*flags: str, **kwargs) -> tuple[tuple[str, ...], dict]:
+    return flags, kwargs
+
+
+_SPEC = (
+    _option("spec", nargs="?", help="specification file (DSL)"),
+    _option("--diagram", help="builtin diagram name instead of a file"),
+)
+_NODE = _option("--node", type=int, help="node label")
+_COMMON = (
+    _option("--format", choices=("table", "json", "csv"), default="table"),
+    _option("--orbit-budget", type=int, dest="orbit_budget",
+            help="orbit safety cap (default from COXANGLE_ORBIT_BUDGET or 10^7)"),
+)
+
+
+class _Command(NamedTuple):
+    """One command: its handler, its help line, the options it adds before
+    `_COMMON`, and whether parsing its spec validates the Tits diagram.
+    validate, min-angle and fold validate in the handler, so their parse
+    does not; catalog has no spec option and reads no input.
+
+    A handler takes the loaded TitsDiagram (None for catalog) and the
+    namespace, and returns headers, rows and the JSON payload, plus an exit
+    code when the command can report a failure (validate, catalog)."""
+
+    handler: Callable[..., tuple]
+    help: str
+    options: tuple = _SPEC
+    require_valid: bool = True
 
 
 _COMMANDS = {
-    "validate": _cmd_validate,
-    "angle": _cmd_angle,
-    "min-angle": _cmd_min_angle,
-    "fold": _cmd_fold,
-    "opposition": _cmd_opposition,
-    "orbit": _cmd_orbit,
-    "enumerate": _cmd_enumerate,
-    "catalog": _cmd_catalog,
+    "validate": _Command(_cmd_validate, "check the structural conditions of a Tits diagram",
+                         require_valid=False),
+    "angle": _Command(_cmd_angle, "angular distance at a node", (*_SPEC, _NODE)),
+    "min-angle": _Command(_cmd_min_angle, "minimal angle and pi/3 verdict of a Tits diagram",
+                          require_valid=False),
+    "fold": _Command(_cmd_fold, "fold the diagram by its symmetry group", require_valid=False),
+    "opposition": _Command(_cmd_opposition, "opposition involution of a diagram"),
+    "orbit": _Command(_cmd_orbit, "Weyl orbit size of a fundamental weight", (*_SPEC, _NODE)),
+    "enumerate": _Command(
+        _cmd_enumerate, "all valid anisotropic kernels with angles",
+        (*_SPEC, _option("--rel-rank", type=int, dest="rel_rank",
+                         help="keep only this relative rank")),
+    ),
+    "catalog": _Command(_cmd_catalog, "verify the built-in reference catalog", ()),
 }
 
 
@@ -317,34 +278,11 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         dest="command", required=True,
         metavar="{" + ",".join(_COMMANDS) + "}" if command else None,
     )
-
-    def add(name: str, help_text: str, spec: bool = True, node: bool = False,
-            rel_rank: bool = False):
-        if command not in (None, name):
-            return
-        p = sub.add_parser(name, help=help_text)
-        if spec:
-            p.add_argument("spec", nargs="?", help="specification file (DSL)")
-            p.add_argument("--diagram", help="builtin diagram name instead of a file")
-        if node:
-            p.add_argument("--node", type=int, help="node label")
-        if rel_rank:
-            p.add_argument("--rel-rank", type=int, dest="rel_rank",
-                           help="keep only this relative rank")
-        p.add_argument("--format", choices=("table", "json", "csv"),
-                       default="table")
-        p.add_argument("--orbit-budget", type=int, dest="orbit_budget",
-                       help="orbit safety cap (default from "
-                            "COXANGLE_ORBIT_BUDGET or 10^7)")
-
-    add("validate", "check the structural conditions of a Tits diagram")
-    add("angle", "angular distance at a node", node=True)
-    add("min-angle", "minimal angle and pi/3 verdict of a Tits diagram")
-    add("fold", "fold the diagram by its symmetry group")
-    add("opposition", "opposition involution of a diagram")
-    add("orbit", "Weyl orbit size of a fundamental weight", node=True)
-    add("enumerate", "all valid anisotropic kernels with angles", rel_rank=True)
-    add("catalog", "verify the built-in reference catalog", spec=False)
+    for name, cmd in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=cmd.help)
+            for flags, kwargs in (*cmd.options, *_COMMON):
+                p.add_argument(*flags, **kwargs)
     return parser
 
 
@@ -356,18 +294,15 @@ def run(argv: Optional[list[str]] = None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_PARSE
-    fmt = ns.format
+    cmd = _COMMANDS[ns.command]
     try:
-        out, code = _COMMANDS[ns.command](ns)
-        if out:
-            print(out)
-        return code
-    except ParseError as exc:
-        _print_error(exc, fmt)
-        return EXIT_PARSE
+        t = _load(ns, cmd.require_valid) if "spec" in ns else None
+        headers, rows, payload, *code = cmd.handler(t, ns)
     except CoxangleError as exc:
-        _print_error(exc, fmt)
-        return EXIT_DOMAIN
+        _print_error(exc, ns.format)
+        return EXIT_PARSE if isinstance(exc, ParseError) else EXIT_DOMAIN
+    print(_emit(ns.format, headers, rows, payload))
+    return code[0] if code else EXIT_OK
 
 
 def _print_error(exc: CoxangleError, fmt: str) -> None:

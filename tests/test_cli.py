@@ -19,6 +19,7 @@ A5_FOLDED_SPEC = "diagram A5\ngamma (1 5)(2 4)\nanisotropic 1 2 4 5\n"
 BAD_OPPOSITION_SPEC = "diagram A3\nanisotropic 2 3\n"
 SYNTAX_ERROR_SPEC = "diagram A3\nfrobnicate 1\n"
 NOT_UTF8_SPEC = b"\xff\xfe\x00bad"
+DATA_DIR = Path(__file__).resolve().parent / "data"
 B3_NODE3_JSON = '{"kind":"exact_cos","cos":"1/3","radians_approx":1.23095941734}\n'
 
 
@@ -398,6 +399,22 @@ class TestErrorPaths:
         }}
 
 
+GOLDEN = json.loads((DATA_DIR / "cli_golden.json").read_text(encoding="utf-8"))
+
+
+class TestGoldenCorpus:
+    """Exit code, stdout and stderr of each command line recorded in
+    tests/data/cli_golden.json by tests/data/make_cli_golden.py: every
+    command in every format on builtins and specs, and the error paths."""
+
+    @pytest.mark.parametrize("case", GOLDEN["cases"], ids=lambda c: " ".join(c["argv"]))
+    def test_matches_recording(self, invoke, monkeypatch, case):
+        monkeypatch.chdir(DATA_DIR)
+        monkeypatch.setenv("COLUMNS", GOLDEN["columns"])
+        monkeypatch.delenv(ORBIT_BUDGET_ENV, raising=False)
+        assert invoke(*case["argv"]) == (case["code"], case["stdout"], case["stderr"])
+
+
 class TestClosedPipe:
     def test_reader_closing_early_gets_no_traceback(self):
         # 4,095 rows, far more than a pipe buffer holds, so the write meets
@@ -530,6 +547,10 @@ def counted(monkeypatch):
     return calls
 
 
+# commands that read only the diagram, whose parse validates a Tits spec
+DIAGRAM_ONLY_ARGVS = [["angle", "--node", "2"], ["opposition"], ["orbit", "--node", "2"]]
+
+
 class TestWorkOncePerRequest:
     def test_enumerate_builtin_never_validates(self, invoke, counted):
         code, out, _ = invoke("enumerate", "--diagram", "A3", "--format", "json")
@@ -579,6 +600,30 @@ class TestWorkOncePerRequest:
         assert code == EXIT_DOMAIN
         assert json.loads(err)["error"]["code"] == "InvalidTitsDiagram"
         assert counted["validate"] == 1
+
+    @pytest.mark.parametrize("argv", DIAGRAM_ONLY_ARGVS, ids=" ".join)
+    @pytest.mark.parametrize("text", [A7_SPEC, A5_FOLDED_SPEC, BAD_OPPOSITION_SPEC])
+    def test_parse_validates_tits_spec_once(self, invoke, counted, tmp_path, argv, text):
+        code, _, _ = invoke(argv[0], write(tmp_path, text), *argv[1:])
+        assert code == (EXIT_DOMAIN if text == BAD_OPPOSITION_SPEC else EXIT_OK)
+        assert counted["validate"] == 1
+
+    @pytest.mark.parametrize("argv", DIAGRAM_ONLY_ARGVS, ids=" ".join)
+    def test_builtin_never_validates(self, invoke, counted, argv):
+        code, _, _ = invoke(argv[0], "--diagram", "E6", *argv[1:])
+        assert code == EXIT_OK
+        assert counted["validate"] == 0
+
+    @pytest.mark.parametrize("text", [A7_SPEC, BAD_OPPOSITION_SPEC])
+    def test_validate_command_validates_once(self, invoke, counted, tmp_path, text):
+        code, _, _ = invoke("validate", write(tmp_path, text), "--format", "json")
+        assert code == (EXIT_DOMAIN if text == BAD_OPPOSITION_SPEC else EXIT_OK)
+        assert counted["validate"] == 1
+
+    def test_catalog_validates_once_per_entry(self, invoke, counted):
+        code, out, _ = invoke("catalog", "--format", "json")
+        assert code == EXIT_OK
+        assert counted["validate"] == len(json.loads(out)["entries"]) == 17
 
 
 E6_FLIP_SPEC = "diagram E6\ngamma (1 6)(3 5)\nanisotropic 2 4\n"
