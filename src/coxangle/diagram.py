@@ -9,7 +9,11 @@ identity of surviving nodes.
 Components are classified in place: classify partitions the diagram once,
 and recognizes each component in one chain walk that reads degrees,
 neighbours and bond labels from the diagram itself, with no restricted
-copy.
+copy. A subdiagram induced on a node set is classified the same way
+(_classify_induced), on the parent's adjacency filtered to the set, so the
+rank-one pieces of validate and min-angle, the candidate components of
+enumerate's search and the orbits and orbit pairs of fold are classified
+without a restricted copy either.
 """
 
 from __future__ import annotations
@@ -417,17 +421,18 @@ def _chain(adjacency: dict[int, tuple[int, ...]], prev: Optional[int], cur: int)
     return chain
 
 
-def _classify_component(d: CoxeterDiagram, nodes: tuple[int, ...]) -> ComponentType:
-    """Recognize the connected component of d on nodes (sorted) against the
-    finite-type list.
+def _classify_component(
+    d: CoxeterDiagram, adjacency: dict[int, tuple[int, ...]], nodes: tuple[int, ...]
+) -> ComponentType:
+    """Recognize the connected component on nodes (sorted) of the graph
+    given by adjacency, a subgraph of d's, against the finite-type list.
 
-    The component is classified in place, in one walk: degrees, neighbours
-    and bond labels are read from d, and one chain walk gives the arms at a
-    branch node or the whole path. Rank 1 and 2 are paths; only G2 and
-    I2(m) need a rank-2 rule.
+    The component is classified in place, in one walk: degrees and
+    neighbours are read from adjacency and bond labels from d, and one
+    chain walk gives the arms at a branch node or the whole path. Rank 1
+    and 2 are paths; only G2 and I2(m) need a rank-2 rule.
     """
     n = len(nodes)
-    adjacency = d._adjacency
     # a connected graph is a tree exactly when its degrees sum to 2(n - 1)
     if sum(len(adjacency[i]) for i in nodes) != 2 * (n - 1):
         raise NotSpherical(f"component on {list(nodes)} contains a circuit")
@@ -503,15 +508,33 @@ def _classify_component(d: CoxeterDiagram, nodes: tuple[int, ...]) -> ComponentT
     return ComponentType(family, n, tuple((lab, k + 1) for k, lab in enumerate(ordered)))
 
 
+def _classify_induced(
+    d: CoxeterDiagram, keep: Optional[Iterable[int]] = None
+) -> tuple[ComponentType, ...]:
+    """Types of the components of the subdiagram of d induced on keep
+    (nodes of d; all of d when None), ordered by smallest label.
+
+    The subdiagram is classified in place: d's adjacency, filtered to keep,
+    gives its components and their shapes, and d gives the bond labels, so
+    no restricted copy is built. The types equal classify(restrict(d, keep)).
+    """
+    adjacency = d._adjacency
+    if keep is not None:
+        keep = set(keep)
+        adjacency = {i: tuple(j for j in adjacency[i] if j in keep) for i in keep}
+    return tuple(_classify_component(d, adjacency, c)
+                 for c in _partition(adjacency, adjacency.__getitem__))
+
+
 def classify(d: CoxeterDiagram) -> tuple[ComponentType, ...]:
     """Recognized types of all components, ordered by smallest label; each
     component is classified in place, without a restricted copy."""
-    return tuple(_classify_component(d, c) for c in _partition(d.nodes, d.neighbors))
+    return _classify_induced(d)
 
 
 def component_type(d: CoxeterDiagram, i: int) -> ComponentType:
     """Recognized type of the connected component holding node i."""
-    return _classify_component(d, tuple(sorted(_reach((i,), d.neighbors))))
+    return _classify_component(d, d._adjacency, tuple(sorted(_reach((i,), d.neighbors))))
 
 
 def type_name(d: CoxeterDiagram) -> str:

@@ -16,6 +16,8 @@ N(J) = N(K), so the formula holds for every m. Orbits with no edge between
 them commute (m = 2). N is the sum of d_i - 1 over the degrees d_i of
 each component (ComponentType.degrees), so reducible diagrams and
 component-swapping groups need no special case and nothing is realized.
+Each orbit and each joined orbit pair is classified in place
+(diagram._classify_induced), with no restricted copy.
 
 No matrix is built here. The test suite realizes each w_J
 (weyl.longest_element on geometry.realize) and checks every folded bond
@@ -25,6 +27,7 @@ against the order of their product.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Optional
 
 from . import diagram as diag
 from .diagram import AutGroup, CoxeterDiagram
@@ -45,10 +48,11 @@ class FoldResult:
     node_map: dict[int, int]
 
 
-def _positive_roots(d: CoxeterDiagram) -> int:
-    """N(d), the number of positive roots of W_d: the sum of d_i - 1 over
-    the degrees d_i of its components."""
-    return sum(k - 1 for ct in diag.classify(d) for k in ct.degrees)
+def _positive_roots(d: CoxeterDiagram, nodes: Optional[Iterable[int]] = None) -> int:
+    """N(X) for the subdiagram X of d induced on nodes (all of d when None):
+    the sum of d_i - 1 over the degrees d_i of its components, classified
+    in place."""
+    return sum(k - 1 for ct in diag._classify_induced(d, nodes) for k in ct.degrees)
 
 
 def fold(d: CoxeterDiagram, g: AutGroup) -> FoldResult:
@@ -69,11 +73,10 @@ def fold(d: CoxeterDiagram, g: AutGroup) -> FoldResult:
             "(or a single rank-2 diagram)"
         )
     members = {min(orbit): orbit for orbit in orbits}
-    count = {a: _positive_roots(diag.restrict(d, orbit)) for a, orbit in members.items()}
+    count = {a: _positive_roots(d, orbit) for a, orbit in members.items()}
     joined = {tuple(sorted((node_map[i], node_map[j]))) for i, j, _ in d.edges}
     entries = [
-        (a, b, 2 * _positive_roots(diag.restrict(d, members[a] + members[b]))
-         // (count[a] + count[b]))
+        (a, b, 2 * _positive_roots(d, members[a] + members[b]) // (count[a] + count[b]))
         for a, b in sorted(joined)
         if a != b
     ]

@@ -14,7 +14,10 @@ rank-one piece: O and the anisotropic nodes joined to it through A, which
 are the components of A u O that meet O. validate and minimal_angle_report
 read each clause and each angle on that piece (_rank_one_piece), and the
 search of enumerate_indices forms the same piece as its C, so no pass
-restricts to the whole anisotropic set once per orbit.
+restricts to the whole anisotropic set once per orbit. Pieces and
+candidate components are classified in place (diagram._classify_induced),
+with no restricted copy: the opposition is read from the resulting
+component types (weyl._opposition_map), and so is the angle (_type_angle).
 
 The angular distance at a node only depends on its connected component (the
 Weyl group acts componentwise and the fundamental weight lies in the
@@ -130,8 +133,9 @@ def validate(t: TitsDiagram) -> ValidationReport:
                 )
             )
         elif not inside:
-            sigma = weyl.opposition(_rank_one_piece(t.diagram, aniso, orbit))
-            image = frozenset(sigma(i) for i in orbit)
+            sigma = weyl._opposition_map(
+                diag._classify_induced(t.diagram, _rank_one_piece(t.diagram, aniso, orbit)))
+            image = frozenset(sigma[i] for i in orbit)
             if image != frozenset(orbit):
                 violations.append(
                     Violation(
@@ -144,8 +148,8 @@ def validate(t: TitsDiagram) -> ValidationReport:
     return ValidationReport(tuple(violations))
 
 
-def _rank_one_piece(d: CoxeterDiagram, aniso: frozenset[int], orbit) -> CoxeterDiagram:
-    """d restricted to the rank-one piece of the isotropic orbit: the orbit
+def _rank_one_piece(d: CoxeterDiagram, aniso: frozenset[int], orbit) -> set[int]:
+    """The nodes of the rank-one piece of the isotropic orbit: the orbit
     and the nodes of aniso joined to it through aniso, which are the
     components of aniso u orbit that meet the orbit.
 
@@ -153,7 +157,7 @@ def _rank_one_piece(d: CoxeterDiagram, aniso: frozenset[int], orbit) -> CoxeterD
     opposition clause and its angle read on the piece are those read on all
     of aniso u orbit.
     """
-    return diag.restrict(d, diag._reach(orbit, lambda i: aniso.intersection(d.neighbors(i))))
+    return diag._reach(orbit, lambda i: aniso.intersection(d.neighbors(i)))
 
 
 def ensure_valid(t: TitsDiagram) -> None:
@@ -232,7 +236,11 @@ def angular_distance(d: CoxeterDiagram, i: int) -> Angle:
     of i (see _closed_form_cos), I2(m) gives 2pi/m, and H3 and H4 are
     refused.
     """
-    ct = diag.component_type(d, i)
+    return _type_angle(diag.component_type(d, i), i)
+
+
+def _type_angle(ct: diag.ComponentType, i: int) -> Angle:
+    """angular_distance at node i of a component of type ct."""
     if ct.family == "I2":
         return Angle.rational_pi(2, ct.m)
     if not ct.crystallographic:
@@ -250,8 +258,9 @@ def minimal_angle_report(t: TitsDiagram) -> tuple[Angle, list[tuple[int, ...]]]:
     A joined to it through the folded A (_rank_one_piece).
     """
     folding, folded_a = fold_tits(t)
-    angles = {v: angular_distance(_rank_one_piece(folding.folded, folded_a, (v,)), v)
-              for v in folding.folded.nodes if v not in folded_a}
+    folded = folding.folded
+    angles = {v: _connected_angle(folded, _rank_one_piece(folded, folded_a, (v,)), v)
+              for v in folded.nodes if v not in folded_a}
     if not angles:
         raise ZeroRelativeRank("every node is anisotropic; the minimal angle is undefined")
     orbits: dict[int, list[int]] = {}
@@ -259,6 +268,13 @@ def minimal_angle_report(t: TitsDiagram) -> tuple[Angle, list[tuple[int, ...]]]:
         orbits.setdefault(v, []).append(i)
     best = min(angles.values())
     return best, [tuple(orbits[v]) for v, angle in angles.items() if angle == best]
+
+
+def _connected_angle(d: CoxeterDiagram, nodes: Iterable[int], v: int) -> Angle:
+    """angular_distance at v on the subdiagram of d induced on nodes, which
+    is connected, classified in place."""
+    (ct,) = diag._classify_induced(d, nodes)
+    return _type_angle(ct, v)
 
 
 def minimal_angle(t: TitsDiagram) -> Angle:
@@ -312,8 +328,7 @@ def enumerate_indices(
     def angle_at(key: _Key) -> Angle:
         if key not in angles:
             o, comp = key
-            sub = diag.restrict(folded, {orbits[p][0] for p in comp})
-            angles[key] = angular_distance(sub, orbits[o][0])
+            angles[key] = _connected_angle(folded, [orbits[p][0] for p in comp], orbits[o][0])
         return angles[key]
 
     results = []
@@ -372,8 +387,9 @@ def _search_kernels(
     def holds(key: _Key) -> bool:
         if key not in clause:
             o, comp = key
-            sigma = weyl.opposition(diag.restrict(d, [i for p in comp for i in orbits[p]]))
-            clause[key] = {sigma(i) for i in orbits[o]} == set(orbits[o])
+            sigma = weyl._opposition_map(
+                diag._classify_induced(d, [i for p in comp for i in orbits[p]]))
+            clause[key] = {sigma[i] for i in orbits[o]} == set(orbits[o])
         return clause[key]
 
     found = []

@@ -12,9 +12,11 @@ fundamental-weight coordinates with integer Cartan entries: it starts from
 the dominant weight, and each other weight has exactly one parent, so the
 walk is a reverse search that keeps no visited set. orbit_size counts the
 orbit of a fundamental weight on a Cartan matrix read off the bond labels,
-without realizing the diagram; weyl_orbit maps each weight back to an
-ambient vector. The default safety budget of 10^7 vectors clears the
-largest fundamental-weight orbit in rank 8 (483 840) with margin.
+without realizing the diagram, and refuses an orbit larger than the budget
+before the walk, from |W|/|W_J| read off the degrees; weyl_orbit maps each
+weight back to an ambient vector. The default safety budget of 10^7
+vectors clears the largest fundamental-weight orbit in rank 8 (483 840)
+with margin.
 """
 
 from __future__ import annotations
@@ -120,7 +122,15 @@ def reflection_element(r: Realization, i: int) -> OrthogonalElement:
 
 def group_order(d: CoxeterDiagram) -> int:
     """|W| as the product of the degrees of its components."""
-    return math.prod(k for ct in diag.classify(d) for k in ct.degrees)
+    return _order(diag.classify(d))
+
+
+def _order(types: Iterable[diag.ComponentType]) -> int:
+    return math.prod(k for ct in types for k in ct.degrees)
+
+
+def _budget_exceeded(budget: int) -> OrbitBudgetExceeded:
+    return OrbitBudgetExceeded(f"orbit exceeded the safety budget of {budget} vectors")
 
 
 def _diagram_cartan(d: CoxeterDiagram) -> list[list[int]]:
@@ -164,7 +174,7 @@ def _walk(
         mu = stack.pop()
         count += 1
         if count > limit:
-            raise OrbitBudgetExceeded(f"orbit exceeded the safety budget of {budget} vectors")
+            raise _budget_exceeded(budget)
         yield mu
         for j, row in rows:
             c = mu[j]
@@ -219,11 +229,21 @@ def orbit_size(d: CoxeterDiagram, node: int, budget: Optional[int] = None) -> in
     """|W·omega_node|, counted by walking the orbit; nothing is realized.
 
     The walk runs on a Cartan matrix read off the bond labels of the
-    component of node, which must be crystallographic.
+    component of node, which must be crystallographic. The stabilizer of
+    omega_node is the parabolic W_J on the rest J of the component
+    (Humphreys, Reflection Groups and Coxeter Groups, 1.12), so the orbit
+    has |W|/|W_J| elements, read off the degrees; when that exceeds the
+    budget, the walk's own OrbitBudgetExceeded is raised before it starts.
     """
     comp = diag.component_of(d, node)
+    cartan = _diagram_cartan(comp)
+    if budget is None:
+        budget = orbit_budget()
+    rest = diag._classify_induced(comp, comp.node_set - {node})
+    if group_order(comp) // _order(rest) > max(budget, 1):
+        raise _budget_exceeded(budget)
     lam = [int(i == node) for i in comp.nodes]
-    return sum(1 for _ in _walk(_diagram_cartan(comp), lam, budget))
+    return sum(1 for _ in _walk(cartan, lam, budget))
 
 
 def longest_element(r: Realization, nodes: Optional[Iterable[int]] = None) -> OrthogonalElement:
@@ -300,7 +320,12 @@ def opposition(d: CoxeterDiagram) -> Permutation:
     table (see _component_opposition); nothing is realized. The test suite
     checks the table against the realized longest element.
     """
+    return Permutation.from_dict(_opposition_map(diag.classify(d)))
+
+
+def _opposition_map(types: Iterable[diag.ComponentType]) -> dict[int, int]:
+    """sigma on the components of the given types, as a label map."""
     mapping: dict[int, int] = {}
-    for ct in diag.classify(d):
+    for ct in types:
         mapping.update(_component_opposition(ct))
-    return Permutation.from_dict(mapping)
+    return mapping

@@ -12,7 +12,9 @@ order of w_J·w_K. brute_enumerate validates every candidate kernel, where
 tits.enumerate_indices searches with pruning. whole_set_violations and
 whole_set_minimal_angle_report read each isotropic orbit's opposition
 clause and angle on the whole anisotropic set, where tits reads them on
-the orbit's rank-one piece.
+the orbit's rank-one piece. walk_only_orbit_size counts an orbit by the
+walk alone, where weyl.orbit_size first refuses an orbit larger than the
+budget from |W|/|W_J|.
 """
 
 from __future__ import annotations
@@ -234,6 +236,14 @@ def whole_set_minimal_angle_report(t) -> tuple:
         elif angle == best:
             achieving.append(orbit)
     return best, achieving
+
+
+def walk_only_orbit_size(d: CoxeterDiagram, node: int, budget=None) -> int:
+    """weyl.orbit_size with no refusal before the walk: the count and any
+    OrbitBudgetExceeded come from the walk alone."""
+    comp = diag.component_of(d, node)
+    lam = [int(i == node) for i in comp.nodes]
+    return sum(1 for _ in weyl._walk(weyl._diagram_cartan(comp), lam, budget))
 
 
 def relabeled(d: CoxeterDiagram, rng) -> CoxeterDiagram:

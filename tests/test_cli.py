@@ -5,12 +5,15 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import coxangle.cli as cli
 import coxangle.tits as tits_mod
+import coxangle.weyl as weyl_mod
+import helpers
 from coxangle.cli import EXIT_CATALOG, EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, run
 from coxangle.weyl import DEFAULT_ORBIT_BUDGET, ORBIT_BUDGET_ENV, orbit_budget
 
@@ -255,6 +258,54 @@ class TestOrbitCommand:
         code, out, err = invoke(*args)
         assert (code, out) == (EXIT_DOMAIN, "")
         assert json.loads(err)["error"]["code"] == "OrbitBudgetExceeded"
+
+
+# every crystallographic builtin of rank <= 7 (C_n is the B_n diagram)
+ORBIT_CASES = (
+    [(f"A{n}", i) for n in range(1, 8) for i in range(1, n + 1)]
+    + [(f"B{n}", i) for n in range(2, 8) for i in range(1, n + 1)]
+    + [(f"D{n}", i) for n in range(4, 8) for i in range(1, n + 1)]
+    + [(name, i) for name, n in (("E6", 6), ("E7", 7), ("F4", 4), ("G2", 2))
+       for i in range(1, n + 1)]
+    + [("E8", 1), ("E8", 8)]
+)
+
+
+class TestOrbitRefusedBeforeWalk:
+    """orbit_size refuses an orbit larger than the budget from |W|/|W_J|
+    before it walks; the walk alone gives the same answers."""
+
+    @pytest.mark.parametrize("name,node", ORBIT_CASES)
+    def test_same_as_walk_only_at_budget_boundary(self, invoke, monkeypatch, name, node):
+        from coxangle.diagram import builtin
+
+        n = helpers.walk_only_orbit_size(builtin(name), node)
+        for budget in (n - 1, n):
+            args = ("orbit", "--diagram", name, "--node", str(node),
+                    "--orbit-budget", str(budget))
+            refused = invoke(*args)
+            with monkeypatch.context() as m:
+                m.setattr(weyl_mod, "orbit_size", helpers.walk_only_orbit_size)
+                walked = invoke(*args)
+            assert refused == walked
+            assert refused[0] == (EXIT_OK if budget == n else EXIT_DOMAIN)
+
+    def test_a30_refused_at_once(self, invoke):
+        # C(31, 15), about 3e8 weights: the walk would run for about a minute
+        start = time.perf_counter()
+        code, out, err = invoke("orbit", "--diagram", "A30", "--node", "15",
+                                "--format", "json")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert json.loads(err) == {"error": {
+            "code": "OrbitBudgetExceeded",
+            "message": f"orbit exceeded the safety budget of {DEFAULT_ORBIT_BUDGET} vectors"}}
+
+    def test_noncrystallographic_comes_first(self, invoke):
+        code, _, err = invoke("orbit", "--diagram", "H3", "--node", "1",
+                              "--orbit-budget", "1", "--format", "json")
+        assert code == EXIT_DOMAIN
+        assert json.loads(err)["error"]["code"] == "NonCrystallographic"
 
 
 class TestEnumerateCommand:
@@ -632,12 +683,11 @@ MATRIX_FUNCTIONS = (("geometry", "realize"), ("weyl", "longest_element"),
                    ("weyl", "element_order"))
 
 
-@pytest.fixture
-def matrix_calls(monkeypatch):
-    """Count calls of realize, longest_element and element_order wherever a
-    coxangle module binds them."""
-    calls = {name: 0 for _, name in MATRIX_FUNCTIONS}
-    for module, name in MATRIX_FUNCTIONS:
+def count_calls(monkeypatch, functions) -> dict[str, int]:
+    """Count calls of each (module, name) in functions wherever a coxangle
+    module binds it."""
+    calls = {name: 0 for _, name in functions}
+    for module, name in functions:
         fn = getattr(sys.modules[f"coxangle.{module}"], name)
 
         def counting(*args, _fn=fn, _name=name, **kwargs):
@@ -648,6 +698,18 @@ def matrix_calls(monkeypatch):
             if mod_name.split(".")[0] == "coxangle" and getattr(mod, name, None) is fn:
                 monkeypatch.setattr(mod, name, counting)
     return calls
+
+
+@pytest.fixture
+def matrix_calls(monkeypatch):
+    """Calls of realize, longest_element and element_order."""
+    return count_calls(monkeypatch, MATRIX_FUNCTIONS)
+
+
+@pytest.fixture
+def restrict_calls(monkeypatch):
+    """Calls of diagram.restrict."""
+    return count_calls(monkeypatch, (("diagram", "restrict"),))
 
 
 class TestRequestPathBuildsNoMatrix:
@@ -668,3 +730,22 @@ class TestRequestPathBuildsNoMatrix:
         code, out, _ = invoke("enumerate", ENUM_D5_FLIP, "--format", "json")
         assert code == EXIT_OK and len(json.loads(out)["entries"]) > 1
         assert matrix_calls == {"realize": 0, "longest_element": 0, "element_order": 0}
+
+
+class TestRequestPathRestrictsNothing:
+    """Rank-one pieces, candidate components and orbit pairs are classified
+    in place, with no restricted copy."""
+
+    @pytest.mark.parametrize("command", ["validate", "min-angle", "fold", "enumerate"])
+    @pytest.mark.parametrize("spec", ["E6-flip", "enum-D5-flip"])
+    def test_no_restrict(self, invoke, restrict_calls, tmp_path, command, spec):
+        path = write(tmp_path, E6_FLIP_SPEC) if spec == "E6-flip" else ENUM_D5_FLIP
+        code, _, _ = invoke(command, path, "--format", "json")
+        assert code == EXIT_OK
+        assert restrict_calls == {"restrict": 0}
+
+    def test_counter_sees_orbit(self, invoke, restrict_calls):
+        # orbit walks the node's component, which component_of restricts to
+        code, _, _ = invoke("orbit", "--diagram", "E7", "--node", "7")
+        assert code == EXIT_OK
+        assert restrict_calls == {"restrict": 1}

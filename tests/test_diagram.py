@@ -5,9 +5,11 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coxangle import weyl
 from coxangle.diagram import (
     AutGroup,
     Permutation,
+    _classify_induced,
     builtin,
     check_automorphisms,
     classify,
@@ -235,6 +237,28 @@ class TestComponents:
         assert sub.m(2, 3) == 3 and sub.m(3, 5) == 2
         with pytest.raises(UnknownNode):
             restrict(d, [2, 9])
+
+
+# every builtin of rank <= 8 (C_n is the B_n diagram) and two sums
+INDUCED_CASES = (
+    [f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+    + [f"D{n}" for n in range(4, 9)]
+    + ["E6", "E7", "E8", "F4", "G2", "H3", "H4", "I2(5)", "I2(7)", "I2(8)"]
+    + ["B3+A2", "I2(7)+A3"]
+)
+
+
+@pytest.mark.parametrize("name", INDUCED_CASES)
+def test_classify_induced_matches_restricted_copy(name):
+    # in-place types on every node subset against a classified restricted copy
+    d = builtin(name)
+    for k in range(d.rank + 1):
+        for keep in itertools.combinations(d.nodes, k):
+            sub = restrict(d, keep)
+            types = _classify_induced(d, keep)
+            assert types == classify(sub), keep
+            sigma = Permutation.from_dict(weyl._opposition_map(types))
+            assert sigma == weyl.opposition(sub), keep
 
 
 AUT_ORDERS = {

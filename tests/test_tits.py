@@ -336,21 +336,22 @@ class TestMinimalAngle:
     def test_reads_rank_one_pieces_only(self, monkeypatch):
         # each isotropic node 2k of A41 with the odd nodes anisotropic has
         # the piece {2k-1, 2k, 2k+1}; the whole A u O has 22 nodes
-        kept = []
-        restrict = diagram_mod.restrict
+        classified = []
+        classify_induced = diagram_mod._classify_induced
 
-        def counting_restrict(d, keep):
-            keep = set(keep)
-            kept.append(len(keep))
-            return restrict(d, keep)
+        def recording(d, keep=None):
+            keep = None if keep is None else set(keep)
+            classified.append(keep)
+            return classify_induced(d, keep)
 
-        monkeypatch.setattr(diagram_mod, "restrict", counting_restrict)
         t = tits_diagram(builtin("A41"), anisotropic=range(1, 42, 2))
+        monkeypatch.setattr(diagram_mod, "_classify_induced", recording)
         assert validate(t).ok
         assert minimal_angle_report(t) == (PI_OVER_2, [(i,) for i in range(2, 41, 2)])
         # 20 orbits, each once in validate, once in the report's own
-        # validation and once for its angle
-        assert kept == [3] * 60
+        # validation and once for its angle, and no whole-diagram pass
+        pieces = [{i - 1, i, i + 1} for i in range(2, 41, 2)]
+        assert classified == pieces * 3
 
     def test_quasi_split_is_pi(self):
         for name in ("A1", "A5", "B3", "D4", "E8", "F4", "G2", "H4", "I2(9)"):
