@@ -44,7 +44,7 @@ from .errors import (
     ZeroRelativeRank,
 )
 from .fold import FoldResult, fold, fold_tits
-from .geometry import Realization, inner, realize, reflect
+from .geometry import Realization, realize, reflect
 from .tits import (
     CatalogEntry,
     TitsDiagram,
@@ -116,7 +116,6 @@ __all__ = [
     "fold",
     "fold_tits",
     "group_order",
-    "inner",
     "longest_element",
     "minimal_angle",
     "minimal_angle_report",

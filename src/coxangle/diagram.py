@@ -14,6 +14,14 @@ copy. A subdiagram induced on a node set is classified the same way
 rank-one pieces of validate and min-angle, the candidate components of
 enumerate's search and the orbits and orbit pairs of fold are classified
 without a restricted copy either.
+
+Each derived fact is derived once per value and kept on it. A diagram
+keeps its classification (CoxeterDiagram._types), filled by the classify
+call in new_diagram that checks sphericity; classify and component_type
+read it, and so does every layer that asks for a type, its order,
+opposition or crystallographic check. A group keeps its orbit partition
+(AutGroup._orbits), which depends only on its generators and domain;
+orbits checks the generators against the diagram and then reads it.
 """
 
 from __future__ import annotations
@@ -74,6 +82,12 @@ class CoxeterDiagram:
         if i not in self.node_set:
             raise UnknownNode(f"node {i} not in diagram")
         return self._adjacency[i]
+
+    @cached_property
+    def _types(self) -> tuple[ComponentType, ...]:
+        """Types of the components, ordered by smallest label: the one
+        classification of this diagram, which classify reads."""
+        return _classify_induced(self)
 
     def degree(self, i: int) -> int:
         return len(self.neighbors(i))
@@ -188,6 +202,13 @@ class AutGroup:
     @property
     def is_trivial(self) -> bool:
         return all(g.is_identity for g in self.generators)
+
+    @cached_property
+    def _orbits(self) -> tuple[tuple[int, ...], ...]:
+        """Orbit partition of the domain, orbits ordered by smallest
+        member: the one partition of this group, which orbits reads once
+        the generators are checked against a diagram."""
+        return _partition(self.domain, lambda x: (p.of(x) for p in self.generators))
 
     def elements(self) -> frozenset[Permutation]:
         """Closure of the generators (always contains the identity)."""
@@ -527,14 +548,22 @@ def _classify_induced(
 
 
 def classify(d: CoxeterDiagram) -> tuple[ComponentType, ...]:
-    """Recognized types of all components, ordered by smallest label; each
-    component is classified in place, without a restricted copy."""
-    return _classify_induced(d)
+    """Recognized types of all components, ordered by smallest label.
+
+    d is classified once, in place, on first use (new_diagram does it to
+    check sphericity), and every later call reads that classification.
+    """
+    return d._types
 
 
 def component_type(d: CoxeterDiagram, i: int) -> ComponentType:
-    """Recognized type of the connected component holding node i."""
-    return _classify_component(d, d._adjacency, tuple(sorted(_reach((i,), d.neighbors))))
+    """Recognized type of the connected component holding node i: a
+    lookup in d's one classification, which classifies nothing again."""
+    for ct in d._types:
+        for label, _ in ct.canonical:
+            if label == i:
+                return ct
+    raise UnknownNode(f"node {i} not in diagram")
 
 
 def type_name(d: CoxeterDiagram) -> str:
@@ -597,6 +626,10 @@ def diagram_automorphisms(d: CoxeterDiagram) -> AutGroup:
 
 
 def orbits(d: CoxeterDiagram, g: AutGroup) -> tuple[tuple[int, ...], ...]:
-    """Orbit partition of the node set, orbits ordered by smallest member."""
+    """Orbit partition of the node set, orbits ordered by smallest member.
+
+    The generators are checked against d on every call; the partition is
+    g's own, computed once per group.
+    """
     check_automorphisms(d, g)
-    return _partition(d.nodes, lambda x: (p.of(x) for p in g.generators))
+    return g._orbits

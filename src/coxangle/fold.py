@@ -19,6 +19,12 @@ component-swapping groups need no special case and nothing is realized.
 Each orbit and each joined orbit pair is classified in place
 (diagram._classify_induced), with no restricted copy.
 
+Nothing is derived twice. The orbits are g's own partition
+(AutGroup._orbits) and the crystallographic check reads d's one
+classification. fold checks g's generators against d; fold_tits folds
+right after validate has checked them, and enumerate_indices right
+after orbits has, so both fold through _fold with no second check.
+
 No matrix is built here. The test suite realizes each w_J
 (weyl.longest_element on geometry.realize) and checks every folded bond
 against the order of their product.
@@ -58,10 +64,17 @@ def _positive_roots(d: CoxeterDiagram, nodes: Optional[Iterable[int]] = None) ->
 def fold(d: CoxeterDiagram, g: AutGroup) -> FoldResult:
     """Fold d by g; see FoldResult. Trivial g returns d unchanged.
 
+    Raises NotAnAutomorphism unless every generator of g preserves d.
     g swapping the two nodes of I_2(m) folds to A_1 by the same formula:
     the one orbit has no bond to another, and no matrix is needed.
     """
-    orbits = diag.orbits(d, g)
+    diag.check_automorphisms(d, g)
+    return _fold(d, g)
+
+
+def _fold(d: CoxeterDiagram, g: AutGroup) -> FoldResult:
+    """fold, for a g whose generators are already checked against d."""
+    orbits = g._orbits
     node_map = {i: min(orbit) for orbit in orbits for i in orbit}
     if g.is_trivial:
         return FoldResult(d, node_map)
@@ -89,6 +102,6 @@ def fold_tits(t) -> tuple[FoldResult, frozenset[int]]:
     from .tits import ensure_valid
 
     ensure_valid(t)
-    result = fold(t.diagram, t.gamma)
+    result = _fold(t.diagram, t.gamma)
     folded_a = frozenset(result.node_map[a] for a in t.anisotropic)
     return result, folded_a

@@ -119,14 +119,17 @@ def _solve(matrix: list[list[Fraction]], rhs_count: int) -> list[list[Fraction]]
 
 
 def require_crystallographic(d: CoxeterDiagram) -> tuple[ComponentType, ...]:
-    """classify(d); raises NonCrystallographic on H or I_2(m) parts."""
-    comps = diag.classify(d)
-    bad = [ct.name for ct in comps if not ct.crystallographic]
+    """classify(d), d's one classification; raises NonCrystallographic on
+    H or I_2(m) parts."""
+    return _crystallographic(diag.classify(d))
+
+
+def _crystallographic(types: tuple[ComponentType, ...]) -> tuple[ComponentType, ...]:
+    """types; raises NonCrystallographic on H or I_2(m) among them."""
+    bad = [ct.name for ct in types if not ct.crystallographic]
     if bad:
-        raise NonCrystallographic(
-            f"components {bad} have no rational root-system realization"
-        )
-    return comps
+        raise NonCrystallographic(f"components {bad} have no rational root-system realization")
+    return types
 
 
 def realize(d: CoxeterDiagram) -> Realization:
@@ -170,13 +173,6 @@ def realize(d: CoxeterDiagram) -> Realization:
             )
             weights[lab] = place(offset, w)
     return Realization(d, total_dim, simple_roots, coroots, weights)
-
-
-def inner(r: Realization, u: Vector, v: Vector) -> Fraction:
-    """Exact Euclidean inner product in the realization's ambient space."""
-    if len(u) != len(v):
-        raise DimensionMismatch(f"dimensions {len(u)} and {len(v)} differ")
-    return dot(u, v)
 
 
 def reflect(r: Realization, i: int, v: Vector) -> Vector:

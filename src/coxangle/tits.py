@@ -1,13 +1,17 @@
 """Tits diagrams (M, Gamma, A): validity, relative rank, rank-one
 subdiagrams, angular distance, minimal angle, and the pi/3 trichotomy.
 
-A request validates its diagram once. The public entry points
-(minimal_angle_report, rank_one_subdiagrams, relative_rank, and
-fold.fold_tits) check their input; minimal_angle_report validates and
-folds through fold_tits alone. enumerate_indices calls no validate at all:
-its search checks the opposition clause of each isotropic orbit itself and
-prunes on the first failure, and it folds (M, Gamma) once for all of its
-kernels, and only if some kernel is valid.
+A request validates its diagram once and derives nothing twice. The
+public entry points (minimal_angle_report, rank_one_subdiagrams,
+relative_rank, and fold.fold_tits) check their input; minimal_angle_report
+validates and folds through fold_tits alone. validate checks each
+generator of Gamma, then walks Gamma's one orbit partition
+(AutGroup._orbits); fold_tits folds on that partition with no second
+check of the generators, and every whole-diagram type is read from the
+one classification that new_diagram made. enumerate_indices calls no
+validate at all: its search checks the opposition clause of each
+isotropic orbit itself and prunes on the first failure, and it folds
+(M, Gamma) once for all of its kernels, and only if some kernel is valid.
 
 An isotropic orbit O's opposition clause and its angle depend only on O's
 rank-one piece: O and the anisotropic nodes joined to it through A, which
@@ -39,7 +43,7 @@ from typing import Iterable, Optional
 
 from . import diagram as diag
 from . import weyl
-from .fold import fold, fold_tits
+from .fold import _fold, fold_tits
 from .angle import PI, Angle, Verdict, verdict_against_pi_over_3
 from .diagram import AutGroup, CoxeterDiagram
 from .errors import (
@@ -105,46 +109,37 @@ class ValidationReport:
 def validate(t: TitsDiagram) -> ValidationReport:
     """Check the three structural conditions; violations are data, not errors.
 
-    The opposition clause of an isotropic orbit O is read on O's rank-one
-    piece (_rank_one_piece); its message names all of A u O, the
-    restriction whose opposition the clause is about.
+    Each generator of Gamma is checked here, once; the orbits are then
+    Gamma's own partition (AutGroup._orbits). The opposition clause of an
+    isotropic orbit O is read on O's rank-one piece (_rank_one_piece); its
+    message names all of A u O, the restriction whose opposition the
+    clause is about.
     """
-    violations = []
-    for p in t.gamma.generators:
-        if not diag.is_automorphism(t.diagram, p):
-            violations.append(
-                Violation(
-                    "gamma-not-automorphism",
-                    None,
-                    f"{p.cycle_string()} is not an automorphism of the diagram",
-                )
-            )
+    violations = [
+        Violation("gamma-not-automorphism", None,
+                  f"{p.cycle_string()} is not an automorphism of the diagram")
+        for p in t.gamma.generators if not diag.is_automorphism(t.diagram, p)
+    ]
     if violations:
         return ValidationReport(tuple(violations))
     aniso = t.anisotropic
-    for orbit in diag.orbits(t.diagram, t.gamma):
+    for orbit in t.gamma._orbits:
         inside = aniso.intersection(orbit)
         if inside and len(inside) < len(orbit):
-            violations.append(
-                Violation(
-                    "A-not-invariant",
-                    orbit,
-                    f"orbit {set(orbit)} meets the anisotropic set without being contained in it",
-                )
-            )
+            violations.append(Violation(
+                "A-not-invariant", orbit,
+                f"orbit {set(orbit)} meets the anisotropic set without being contained in it",
+            ))
         elif not inside:
             sigma = weyl._opposition_map(
                 diag._classify_induced(t.diagram, _rank_one_piece(t.diagram, aniso, orbit)))
             image = frozenset(sigma[i] for i in orbit)
             if image != frozenset(orbit):
-                violations.append(
-                    Violation(
-                        "opposition-violated",
-                        orbit,
-                        f"opposition maps orbit {set(orbit)} to {set(image)} "
-                        f"in the restriction to {sorted(aniso.union(orbit))}",
-                    )
-                )
+                violations.append(Violation(
+                    "opposition-violated", orbit,
+                    f"opposition maps orbit {set(orbit)} to {set(image)} "
+                    f"in the restriction to {sorted(aniso.union(orbit))}",
+                ))
     return ValidationReport(tuple(violations))
 
 
@@ -322,7 +317,7 @@ def enumerate_indices(
     if not kernels:
         return []
     # the fold labels each orbit by its smallest member, orbits[p][0]
-    folded = fold(d, g).folded
+    folded = _fold(d, g).folded
     angles: dict[_Key, Angle] = {}
 
     def angle_at(key: _Key) -> Angle:

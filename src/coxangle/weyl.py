@@ -13,10 +13,12 @@ the dominant weight, and each other weight has exactly one parent, so the
 walk is a reverse search that keeps no visited set. orbit_size counts the
 orbit of a fundamental weight on a Cartan matrix read off the bond labels,
 without realizing the diagram, and refuses an orbit larger than the budget
-before the walk, from |W|/|W_J| read off the degrees; weyl_orbit maps each
-weight back to an ambient vector. The default safety budget of 10^7
-vectors clears the largest fundamental-weight orbit in rank 8 (483 840)
-with margin.
+before the walk, from |W|/|W_J| read off the degrees. It reads the node's
+component from the diagram's one classification, so an orbit request
+classifies only the whole diagram and the stabilizer's nodes. weyl_orbit
+maps each weight back to an ambient vector. The default safety budget of
+10^7 vectors clears the largest fundamental-weight orbit in rank 8
+(483 840) with margin.
 """
 
 from __future__ import annotations
@@ -121,7 +123,8 @@ def reflection_element(r: Realization, i: int) -> OrthogonalElement:
 
 
 def group_order(d: CoxeterDiagram) -> int:
-    """|W| as the product of the degrees of its components."""
+    """|W| as the product of the degrees of its components, read from d's
+    one classification."""
     return _order(diag.classify(d))
 
 
@@ -133,18 +136,18 @@ def _budget_exceeded(budget: int) -> OrbitBudgetExceeded:
     return OrbitBudgetExceeded(f"orbit exceeded the safety budget of {budget} vectors")
 
 
-def _diagram_cartan(d: CoxeterDiagram) -> list[list[int]]:
-    """A Cartan matrix of d in node order, read off the bond labels.
+def _diagram_cartan(d: CoxeterDiagram, nodes: Sequence[int]) -> list[list[int]]:
+    """A Cartan matrix of the crystallographic subdiagram of d on nodes, in
+    their order, read off the bond labels.
 
     A_jk * A_kj is 1, 2, 3 for m = 3, 4, 6, the larger entry below the
     diagonal. Every orientation gives the same W and parabolic subgroups.
     """
-    geom.require_crystallographic(d)
     bond = {2: 0, 3: 1, 4: 2, 6: 3}
     return [
         [2 if j == k else -bond[d.m(a, b)] if j > k else -min(bond[d.m(a, b)], 1)
-         for k, b in enumerate(d.nodes)]
-        for j, a in enumerate(d.nodes)
+         for k, b in enumerate(nodes)]
+        for j, a in enumerate(nodes)
     ]
 
 
@@ -228,22 +231,25 @@ def weyl_orbit(r: Realization, v: Vector, budget: Optional[int] = None) -> froze
 def orbit_size(d: CoxeterDiagram, node: int, budget: Optional[int] = None) -> int:
     """|W·omega_node|, counted by walking the orbit; nothing is realized.
 
-    The walk runs on a Cartan matrix read off the bond labels of the
-    component of node, which must be crystallographic. The stabilizer of
-    omega_node is the parabolic W_J on the rest J of the component
-    (Humphreys, Reflection Groups and Coxeter Groups, 1.12), so the orbit
-    has |W|/|W_J| elements, read off the degrees; when that exceeds the
-    budget, the walk's own OrbitBudgetExceeded is raised before it starts.
+    The component of node, which must be crystallographic, is looked up in
+    d's one classification (diagram.component_type): its type gives its
+    nodes and |W|, and the walk runs on a Cartan matrix read off d's bond
+    labels on those nodes, so no restricted copy is built. The stabilizer
+    of omega_node is the parabolic W_J on the rest J of the component
+    (Humphreys, Reflection Groups and Coxeter Groups, 1.12), classified in
+    place, so the orbit has |W|/|W_J| elements, read off the degrees; when
+    that exceeds the budget, the walk's own OrbitBudgetExceeded is raised
+    before it starts.
     """
-    comp = diag.component_of(d, node)
-    cartan = _diagram_cartan(comp)
-    if budget is None:
-        budget = orbit_budget()
-    rest = diag._classify_induced(comp, comp.node_set - {node})
-    if group_order(comp) // _order(rest) > max(budget, 1):
+    ct = diag.component_type(d, node)
+    geom._crystallographic((ct,))
+    budget = orbit_budget() if budget is None else budget
+    nodes = sorted(label for label, _ in ct.canonical)
+    rest = diag._classify_induced(d, [i for i in nodes if i != node])
+    if _order((ct,)) // _order(rest) > max(budget, 1):
         raise _budget_exceeded(budget)
-    lam = [int(i == node) for i in comp.nodes]
-    return sum(1 for _ in _walk(cartan, lam, budget))
+    lam = [int(i == node) for i in nodes]
+    return sum(1 for _ in _walk(_diagram_cartan(d, nodes), lam, budget))
 
 
 def longest_element(r: Realization, nodes: Optional[Iterable[int]] = None) -> OrthogonalElement:

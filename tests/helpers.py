@@ -243,7 +243,7 @@ def walk_only_orbit_size(d: CoxeterDiagram, node: int, budget=None) -> int:
     OrbitBudgetExceeded come from the walk alone."""
     comp = diag.component_of(d, node)
     lam = [int(i == node) for i in comp.nodes]
-    return sum(1 for _ in weyl._walk(weyl._diagram_cartan(comp), lam, budget))
+    return sum(1 for _ in weyl._walk(weyl._diagram_cartan(comp, comp.nodes), lam, budget))
 
 
 def relabeled(d: CoxeterDiagram, rng) -> CoxeterDiagram:

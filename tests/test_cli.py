@@ -1,21 +1,29 @@
 from __future__ import annotations
 
+import contextlib
+import functools
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import coxangle.cli as cli
+import coxangle.diagram as diag
 import coxangle.tits as tits_mod
 import coxangle.weyl as weyl_mod
 import helpers
 from coxangle.cli import EXIT_CATALOG, EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, run
+from coxangle.errors import NotAnAutomorphism
 from coxangle.weyl import DEFAULT_ORBIT_BUDGET, ORBIT_BUDGET_ENV, orbit_budget
+from test_diagram import sums_with_gamma
 
 A7_SPEC = "diagram A7\nanisotropic 1 3 5 7\n"
 A5_FOLDED_SPEC = "diagram A5\ngamma (1 5)(2 4)\nanisotropic 1 2 4 5\n"
@@ -307,6 +315,13 @@ class TestOrbitRefusedBeforeWalk:
         assert code == EXIT_DOMAIN
         assert json.loads(err)["error"]["code"] == "NonCrystallographic"
 
+    def test_unknown_node_comes_first(self, invoke):
+        code, _, err = invoke("orbit", "--diagram", "H3", "--node", "9",
+                              "--orbit-budget", "1", "--format", "json")
+        assert code == EXIT_DOMAIN
+        assert json.loads(err)["error"] == {"code": "UnknownNode",
+                                            "message": "node 9 not in diagram"}
+
 
 class TestEnumerateCommand:
     def test_csv_header(self, invoke):
@@ -576,13 +591,13 @@ class TestRunLeaksNoState:
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Count calls of tits.validate, and the calls of fold.fold with a
-    nontrivial Gamma, from fold_tits (which looks fold up in coxangle.fold)
-    and from enumerate_indices (which looks it up in coxangle.tits)."""
+    """Count calls of tits.validate, and the folds with a nontrivial Gamma:
+    calls of fold._fold, which fold and fold_tits look up in coxangle.fold
+    and enumerate_indices in coxangle.tits."""
     calls = {"validate": 0, "fold": 0}
     # the package root rebinds the name coxangle.fold to the function
     fold_mod = sys.modules["coxangle.fold"]
-    validate, fold = tits_mod.validate, fold_mod.fold
+    validate, fold = tits_mod.validate, fold_mod._fold
 
     def counting_validate(*args, **kwargs):
         calls["validate"] += 1
@@ -594,7 +609,7 @@ def counted(monkeypatch):
 
     monkeypatch.setattr(tits_mod, "validate", counting_validate)
     for module in (fold_mod, tits_mod):
-        monkeypatch.setattr(module, "fold", counting_fold)
+        monkeypatch.setattr(module, "_fold", counting_fold)
     return calls
 
 
@@ -733,19 +748,180 @@ class TestRequestPathBuildsNoMatrix:
 
 
 class TestRequestPathRestrictsNothing:
-    """Rank-one pieces, candidate components and orbit pairs are classified
-    in place, with no restricted copy."""
+    """Rank-one pieces, candidate components, orbit pairs and the component
+    of an orbit are classified in place, with no restricted copy."""
 
-    @pytest.mark.parametrize("command", ["validate", "min-angle", "fold", "enumerate"])
+    @pytest.mark.parametrize(
+        "argv", [["validate"], ["min-angle"], ["fold"], ["enumerate"], ["orbit", "--node", "2"]],
+        ids=" ".join)
     @pytest.mark.parametrize("spec", ["E6-flip", "enum-D5-flip"])
-    def test_no_restrict(self, invoke, restrict_calls, tmp_path, command, spec):
+    def test_no_restrict(self, invoke, restrict_calls, tmp_path, argv, spec):
         path = write(tmp_path, E6_FLIP_SPEC) if spec == "E6-flip" else ENUM_D5_FLIP
-        code, _, _ = invoke(command, path, "--format", "json")
+        code, _, _ = invoke(argv[0], path, *argv[1:], "--format", "json")
         assert code == EXIT_OK
         assert restrict_calls == {"restrict": 0}
 
-    def test_counter_sees_orbit(self, invoke, restrict_calls):
-        # orbit walks the node's component, which component_of restricts to
-        code, _, _ = invoke("orbit", "--diagram", "E7", "--node", "7")
-        assert code == EXIT_OK
+    def test_counter_sees_component_of(self, restrict_calls):
+        from coxangle.diagram import builtin, component_of
+
+        assert component_of(builtin("E7"), 7).rank == 7
         assert restrict_calls == {"restrict": 1}
+
+
+@pytest.fixture
+def derivations(monkeypatch):
+    """Count the derived facts a request computes: component
+    classifications by (diagram, node set), automorphism checks of one
+    generator, and orbit partitions of a group."""
+    classified: Counter = Counter()
+    calls = {"classified": classified, "automorphism": 0, "partition": 0}
+    classify_component, is_automorphism = diag._classify_component, diag.is_automorphism
+    partition = diag.AutGroup.__dict__["_orbits"].func
+
+    def counting_classify(d, adjacency, nodes):
+        classified[d, nodes] += 1
+        return classify_component(d, adjacency, nodes)
+
+    def counting_is_automorphism(d, p):
+        calls["automorphism"] += 1
+        return is_automorphism(d, p)
+
+    def counting_partition(g):
+        calls["partition"] += 1
+        return partition(g)
+
+    orbits = functools.cached_property(counting_partition)
+    orbits.__set_name__(diag.AutGroup, "_orbits")
+    monkeypatch.setattr(diag, "_classify_component", counting_classify)
+    monkeypatch.setattr(diag, "is_automorphism", counting_is_automorphism)
+    monkeypatch.setattr(diag.AutGroup, "_orbits", orbits)
+    return calls
+
+
+class TestDerivedOncePerRequest:
+    """A diagram is classified once and a group's orbits are partitioned
+    once per request: later layers read the kept values."""
+
+    @pytest.mark.parametrize("argv", DIAGRAM_ONLY_ARGVS, ids=" ".join)
+    @pytest.mark.parametrize("source", ["E6", "B3+A2", "D4+A1+A1", "A7-spec", "E6-flip-spec"])
+    def test_diagram_only_commands_classify_nothing_twice(
+        self, invoke, derivations, tmp_path, argv, source
+    ):
+        if source.endswith("-spec"):
+            text = A7_SPEC if source == "A7-spec" else E6_FLIP_SPEC
+            code, _, _ = invoke(argv[0], write(tmp_path, text), *argv[1:])
+        else:
+            code, _, _ = invoke(argv[0], "--diagram", source, *argv[1:])
+        assert code == EXIT_OK
+        classified = derivations["classified"]
+        assert classified and max(classified.values()) == 1, classified
+
+    @pytest.mark.parametrize("name,node,stabilizer", [
+        ("E6", 2, [(1, 3, 4, 5, 6)]),
+        ("E6", 4, [(1, 3), (2,), (5, 6)]),
+        ("B3+A2", 2, [(1,), (3,)]),
+        ("B3+A2", 5, [(4,)]),
+        ("A1+A1", 1, []),
+    ])
+    def test_orbit_classifies_the_diagram_and_the_stabilizer(
+        self, invoke, derivations, name, node, stabilizer
+    ):
+        code, _, _ = invoke("orbit", "--diagram", name, "--node", str(node))
+        assert code == EXIT_OK
+        classified = Counter(derivations["classified"])  # before builtin classifies again
+        d = diag.builtin(name)
+        whole = [tuple(c.nodes) for c in diag.connected_components(d)]
+        assert classified == Counter((d, c) for c in whole + stabilizer)
+
+    @pytest.mark.parametrize("command", ["min-angle", "fold"])
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_gamma_checked_and_partitioned_once(
+        self, invoke, derivations, tmp_path, command, fmt
+    ):
+        # E6-flip has one generator, (1 6)(3 5)
+        code, _, _ = invoke(command, write(tmp_path, E6_FLIP_SPEC), "--format", fmt)
+        assert code == EXIT_OK
+        assert (derivations["automorphism"], derivations["partition"]) == (1, 1)
+
+    @pytest.mark.parametrize("name", ["B3", "H3"])
+    def test_fold_checks_generators_first(self, derivations, name):
+        # on H3, NotAnAutomorphism comes before NonCrystallographic
+        from coxangle.fold import fold
+
+        d = diag.builtin(name)
+        g = diag.AutGroup.generated_by(
+            [diag.Permutation.from_cycles([(1, 3)], d.nodes)], d.nodes)
+        with pytest.raises(NotAnAutomorphism):
+            fold(d, g)
+        assert derivations["partition"] == 0
+
+
+@st.composite
+def tits_specs(draw):
+    """DSL text of a relabelled spherical sum (sums_with_gamma) with a Gamma
+    from its automorphism group and a Gamma-invariant A, or of one of two
+    invalid variants: an A that is not Gamma-invariant, or a gamma that is
+    not an automorphism. Returns the text, the orbits of Gamma, found by
+    closing the group, and A."""
+    d, g = draw(sums_with_gamma())
+    elements = g.elements()
+    orbits = sorted({tuple(sorted({e(i) for e in elements})) for i in d.nodes})
+    aniso = {i for orbit in orbits if draw(st.booleans()) for i in orbit}
+    gens = [p.cycle_string() for p in g.generators]
+    variant = draw(st.sampled_from(["valid", "A not invariant", "not an automorphism"]))
+    if variant == "A not invariant" and any(len(orbit) > 1 for orbit in orbits):
+        orbit = draw(st.sampled_from([orbit for orbit in orbits if len(orbit) > 1]))
+        aniso ^= {draw(st.sampled_from(orbit))}
+    elif variant == "not an automorphism":
+        images = draw(st.permutations(d.nodes))
+        if any(d.m(images[a], images[b]) != d.m(i, j) for a, i in enumerate(d.nodes)
+               for b, j in enumerate(d.nodes)):
+            gens.append(diag.Permutation.from_dict(dict(zip(d.nodes, images))).cycle_string())
+    lines = ["diagram custom", "nodes " + " ".join(map(str, d.nodes))]
+    lines += [f"edge {i} {j} {m}" for i, j, m in sorted(d.edges)]
+    lines += [f"gamma {cycles}" for cycles in gens]
+    if aniso:
+        lines.append("anisotropic " + " ".join(map(str, sorted(aniso))))
+    return "\n".join(lines) + "\n", orbits, frozenset(aniso)
+
+
+def _run_json(*argv: str):
+    """Exit code and parsed JSON document of one command line run in
+    process: the payload on stdout, or the error document on stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run([*argv, "--format", "json"])
+    assert code in (EXIT_OK, EXIT_DOMAIN, EXIT_PARSE, EXIT_CATALOG)
+    return code, json.loads(out.getvalue() or err.getvalue())
+
+
+class TestCommandsAgree:
+    """validate, min-angle, fold and enumerate on one random Tits spec
+    answer consistently with each other and with the spec itself."""
+
+    @settings(deadline=10_000, max_examples=60)
+    @given(case=tits_specs())
+    def test_commands_agree(self, tmp_path_factory, case):
+        text, orbits, aniso = case
+        path = tmp_path_factory.mktemp("spec") / "input.spec"
+        path.write_text(text)
+        path = str(path)
+        code, report = _run_json("validate", path)
+        assert code == (EXIT_OK if report["ok"] else EXIT_DOMAIN)
+
+        code, angle = _run_json("min-angle", path)
+        assert report["ok"] == (code == EXIT_OK or
+                                angle["error"]["code"] != "InvalidTitsDiagram")
+
+        fold_code, folded = _run_json("fold", path)
+        assert report["ok"] == (fold_code == EXIT_OK or
+                                folded["error"]["code"] != "InvalidTitsDiagram")
+        if fold_code == EXIT_OK:
+            node_map = {i: min(orbit) for orbit in orbits for i in orbit}
+            assert folded["node_map"] == {str(i): v for i, v in sorted(node_map.items())}
+            assert folded["anisotropic"] == sorted({node_map[a] for a in aniso})
+
+        enum_code, listing = _run_json("enumerate", path)
+        if code == EXIT_OK and enum_code == EXIT_OK:
+            (row,) = [e for e in listing["entries"] if e["anisotropic"] == sorted(aniso)]
+            assert row["angle"] == angle["angle"]

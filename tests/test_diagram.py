@@ -1,19 +1,23 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import helpers
 from coxangle import weyl
 from coxangle.diagram import (
     AutGroup,
     Permutation,
     _classify_induced,
+    _partition,
     builtin,
     check_automorphisms,
     classify,
     component_of,
+    component_type,
     connected_components,
     diagram_automorphisms,
     is_automorphism,
@@ -261,6 +265,33 @@ def test_classify_induced_matches_restricted_copy(name):
             assert sigma == weyl.opposition(sub), keep
 
 
+def _generator_sets(d):
+    """The generator sets the tests here build on d: none, each
+    automorphism alone, and all of them together."""
+    full = sorted(diagram_automorphisms(d).generators, key=lambda p: p.mapping)
+    return [[]] + [[p] for p in full] + ([full] if len(full) > 1 else [])
+
+
+def _fresh_orbits(d, g):
+    return _partition(d.nodes, lambda x: (p(x) for p in g.generators))
+
+
+@pytest.mark.parametrize("name", INDUCED_CASES + ["relabelled A3+D4+A3"])
+def test_kept_derivations_match_fresh_ones(name):
+    # the classification a diagram keeps, the lookups in it and a group's
+    # kept orbit partition, against the same facts derived afresh
+    if name.startswith("relabelled "):
+        d = helpers.relabeled(builtin(name.split()[1]), random.Random(16))
+    else:
+        d = builtin(name)
+    assert classify(d) == _classify_induced(d)
+    for i in d.nodes:
+        assert component_type(d, i) == classify(component_of(d, i))[0], i
+    for gens in _generator_sets(d):
+        g = AutGroup.generated_by(gens, d.nodes)
+        assert orbits(d, g) == _fresh_orbits(d, g), gens
+
+
 AUT_ORDERS = {
     "A1": 1, "A2": 2, "A3": 2, "A5": 2, "B2": 2, "B3": 1, "B4": 1,
     "D4": 6, "D5": 2, "D6": 2, "E6": 2, "E7": 1, "E8": 1, "F4": 2,
@@ -442,3 +473,6 @@ def test_components_orbits_and_group_closure(case):
     for orb in orbs:
         assert all({p(i) for i in orb} == set(orb) for p in g.generators)
         assert {e(orb[0]) for e in elements} == set(orb)
+    assert orbs == _fresh_orbits(d, g)
+    assert classify(d) == _classify_induced(d)
+    assert all(component_type(d, i) == classify(component_of(d, i))[0] for i in d.nodes)
