@@ -173,7 +173,7 @@ def _cmd_orbit(t: TitsDiagram, ns):
 
 def _cmd_enumerate(t: TitsDiagram, ns):
     results = tits_mod.enumerate_indices(t.diagram, t.gamma, ns.rel_rank)
-    orbits = diag.orbits(t.diagram, t.gamma)
+    orbits = t.gamma._orbits  # checked by enumerate_indices
     headers = ["anisotropic", "rel_rank", "angle", "cos", "radians_approx", "verdict"]
     rows = []
     entries = []

@@ -171,8 +171,10 @@ def isotropic_orbits(t: TitsDiagram) -> list[tuple[int, ...]]:
 
 
 def relative_rank(t: TitsDiagram) -> int:
+    """The number of isotropic orbits, counted on the partition that
+    ensure_valid has just checked."""
     ensure_valid(t)
-    return len(isotropic_orbits(t))
+    return sum(not t.anisotropic.issuperset(orbit) for orbit in t.gamma._orbits)
 
 
 def rank_one_subdiagrams(t: TitsDiagram) -> list[TitsDiagram]:

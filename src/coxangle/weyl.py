@@ -1,24 +1,23 @@
-"""Weyl-group computations: orbit enumeration, group order, longest
-elements, the opposition involution, and element orders.
+"""Weyl-group computations: orbit size and orbit enumeration, group order,
+longest elements, the opposition involution, and element orders.
 
-The opposition involution is read from the component-type table, not
-from a realization. Longest elements and element orders serve the test
-oracles (the fold's w_J generators among them); no CLI request builds
-them.
+No CLI request enumerates anything here. The opposition involution is
+read from the component-type table, and orbit_size, which the `orbit`
+command calls, is the index |W|/|W_J| of the fundamental weight's
+stabilizer, read off the degrees of the node's component and of the rest
+of it. It reads the component from the diagram's one classification, so
+an orbit request classifies only the whole diagram and the stabilizer's
+nodes. Longest elements, element orders and orbit enumeration serve the
+test oracles (the fold's w_J generators among them).
 
-Orbit enumeration serves the `orbit` command and the test oracles; the
-angle path uses a closed form instead. One walk (_walk) enumerates W*lam in
-fundamental-weight coordinates with integer Cartan entries: it starts from
-the dominant weight, and each other weight has exactly one parent, so the
-walk is a reverse search that keeps no visited set. orbit_size counts the
-orbit of a fundamental weight on a Cartan matrix read off the bond labels,
-without realizing the diagram, and refuses an orbit larger than the budget
-before the walk, from |W|/|W_J| read off the degrees. It reads the node's
-component from the diagram's one classification, so an orbit request
-classifies only the whole diagram and the stabilizer's nodes. weyl_orbit
-maps each weight back to an ambient vector. The default safety budget of
-10^7 vectors clears the largest fundamental-weight orbit in rank 8
-(483 840) with margin.
+weyl_orbit enumerates W*v by one walk (_walk) in fundamental-weight
+coordinates with integer Cartan entries: it starts from the dominant
+weight, and each other weight has exactly one parent, so the walk is a
+reverse search that keeps no visited set; each weight is mapped back to
+an ambient vector. orbit_size and weyl_orbit share one safety budget: an
+orbit of more weights than the budget raises OrbitBudgetExceeded. The
+default of 10^7 vectors clears the largest fundamental-weight orbit in
+rank 8 (483 840) with margin.
 """
 
 from __future__ import annotations
@@ -136,21 +135,6 @@ def _budget_exceeded(budget: int) -> OrbitBudgetExceeded:
     return OrbitBudgetExceeded(f"orbit exceeded the safety budget of {budget} vectors")
 
 
-def _diagram_cartan(d: CoxeterDiagram, nodes: Sequence[int]) -> list[list[int]]:
-    """A Cartan matrix of the crystallographic subdiagram of d on nodes, in
-    their order, read off the bond labels.
-
-    A_jk * A_kj is 1, 2, 3 for m = 3, 4, 6, the larger entry below the
-    diagonal. Every orientation gives the same W and parabolic subgroups.
-    """
-    bond = {2: 0, 3: 1, 4: 2, 6: 3}
-    return [
-        [2 if j == k else -bond[d.m(a, b)] if j > k else -min(bond[d.m(a, b)], 1)
-         for k, b in enumerate(nodes)]
-        for j, a in enumerate(nodes)
-    ]
-
-
 def _walk(
     cartan: Sequence[Sequence[int]], lam: Sequence[int], budget: Optional[int]
 ) -> Iterator[tuple[int, ...]]:
@@ -229,27 +213,25 @@ def weyl_orbit(r: Realization, v: Vector, budget: Optional[int] = None) -> froze
 
 
 def orbit_size(d: CoxeterDiagram, node: int, budget: Optional[int] = None) -> int:
-    """|W·omega_node|, counted by walking the orbit; nothing is realized.
+    """|W·omega_node| as the index |W|/|W_J|; nothing is realized or walked.
 
     The component of node, which must be crystallographic, is looked up in
-    d's one classification (diagram.component_type): its type gives its
-    nodes and |W|, and the walk runs on a Cartan matrix read off d's bond
-    labels on those nodes, so no restricted copy is built. The stabilizer
-    of omega_node is the parabolic W_J on the rest J of the component
-    (Humphreys, Reflection Groups and Coxeter Groups, 1.12), classified in
-    place, so the orbit has |W|/|W_J| elements, read off the degrees; when
-    that exceeds the budget, the walk's own OrbitBudgetExceeded is raised
-    before it starts.
+    d's one classification (diagram.component_type); its type gives its
+    nodes and |W|. The stabilizer of omega_node is the parabolic W_J on
+    the rest J of the component (Humphreys, Reflection Groups and Coxeter
+    Groups, 1.12), classified in place, and both orders are read off the
+    degrees. An orbit larger than the budget raises the OrbitBudgetExceeded
+    that weyl_orbit's walk would raise on it, so a budget of n admits an
+    orbit of n weights and refuses it at n - 1.
     """
     ct = diag.component_type(d, node)
     geom._crystallographic((ct,))
     budget = orbit_budget() if budget is None else budget
-    nodes = sorted(label for label, _ in ct.canonical)
-    rest = diag._classify_induced(d, [i for i in nodes if i != node])
-    if _order((ct,)) // _order(rest) > max(budget, 1):
+    rest = diag._classify_induced(d, [label for label, _ in ct.canonical if label != node])
+    size = _order((ct,)) // _order(rest)
+    if size > max(budget, 1):
         raise _budget_exceeded(budget)
-    lam = [int(i == node) for i in nodes]
-    return sum(1 for _ in _walk(_diagram_cartan(d, nodes), lam, budget))
+    return size
 
 
 def longest_element(r: Realization, nodes: Optional[Iterable[int]] = None) -> OrthogonalElement:

@@ -5,16 +5,16 @@ the full group is enumerated as ambient matrices by closure, so tests can
 compare the production algorithms against an independent computation.
 orbit_scan_max_cos is the exception: it reuses the library's orbit walk,
 but reads each angle off the Gram matrix of the realized weights, not off
-the closed form it checks. orbit_generators also reuses the library's
-longest_element: it realizes the w_J that fold.fold never builds, so the
-folded bonds, read off positive-root counts, can be checked against the
-order of w_J·w_K. brute_enumerate validates every candidate kernel, where
-tits.enumerate_indices searches with pruning. whole_set_violations and
-whole_set_minimal_angle_report read each isotropic orbit's opposition
-clause and angle on the whole anisotropic set, where tits reads them on
-the orbit's rank-one piece. walk_only_orbit_size counts an orbit by the
-walk alone, where weyl.orbit_size first refuses an orbit larger than the
-budget from |W|/|W_J|.
+the closed form it checks. walk_only_orbit_size reuses the walk too: it
+counts an orbit on a realization's Cartan matrix (realized_cartan), where
+weyl.orbit_size reads the index |W|/|W_J| off the degrees. orbit_generators
+also reuses the library's longest_element: it realizes the w_J that
+fold.fold never builds, so the folded bonds, read off positive-root
+counts, can be checked against the order of w_J·w_K. brute_enumerate
+validates every candidate kernel, where tits.enumerate_indices searches
+with pruning. whole_set_violations and whole_set_minimal_angle_report
+read each isotropic orbit's opposition clause and angle on the whole
+anisotropic set, where tits reads them on the orbit's rank-one piece.
 """
 
 from __future__ import annotations
@@ -87,10 +87,16 @@ def orbit_scan_max_cos(comp: CoxeterDiagram, i: int) -> Fraction:
     scale = math.lcm(*(g.denominator for g in gram))
     row = [int(g * scale) for g in gram]
     seed = tuple(int(k == i) for k in nodes)
-    cartan = [[int(geom.dot(r.simple_roots[j], r.coroots[k])) for k in nodes] for j in nodes]
-    orbit = weyl._walk(cartan, seed, None)
+    orbit = weyl._walk(realized_cartan(r), seed, None)
     best = max(sum(a * b for a, b in zip(row, mu)) for mu in orbit if mu != seed)
     return Fraction(best, row[nodes.index(i)])
+
+
+def realized_cartan(r: geom.Realization) -> list[list[int]]:
+    """The Cartan matrix (alpha_j, alpha_k^vee) of a realization, in the
+    order of its simple roots."""
+    nodes = tuple(r.simple_roots)
+    return [[int(geom.dot(r.simple_roots[j], r.coroots[k])) for k in nodes] for j in nodes]
 
 
 def all_roots(r: geom.Realization) -> frozenset:
@@ -239,11 +245,12 @@ def whole_set_minimal_angle_report(t) -> tuple:
 
 
 def walk_only_orbit_size(d: CoxeterDiagram, node: int, budget=None) -> int:
-    """weyl.orbit_size with no refusal before the walk: the count and any
-    OrbitBudgetExceeded come from the walk alone."""
-    comp = diag.component_of(d, node)
-    lam = [int(i == node) for i in comp.nodes]
-    return sum(1 for _ in weyl._walk(weyl._diagram_cartan(comp, comp.nodes), lam, budget))
+    """weyl.orbit_size counted by walking the orbit on the realized
+    component of node: the count and any OrbitBudgetExceeded come from the
+    walk alone, with no index |W|/|W_J|."""
+    r = geom.realize(diag.component_of(d, node))
+    lam = [int(i == node) for i in r.simple_roots]
+    return sum(1 for _ in weyl._walk(realized_cartan(r), lam, budget))
 
 
 def relabeled(d: CoxeterDiagram, rng) -> CoxeterDiagram:

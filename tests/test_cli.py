@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import csv
 import functools
 import io
 import json
@@ -10,6 +11,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -20,6 +22,7 @@ import coxangle.diagram as diag
 import coxangle.tits as tits_mod
 import coxangle.weyl as weyl_mod
 import helpers
+from coxangle.angle import Angle
 from coxangle.cli import EXIT_CATALOG, EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, run
 from coxangle.errors import NotAnAutomorphism
 from coxangle.weyl import DEFAULT_ORBIT_BUDGET, ORBIT_BUDGET_ENV, orbit_budget
@@ -280,8 +283,9 @@ ORBIT_CASES = (
 
 
 class TestOrbitRefusedBeforeWalk:
-    """orbit_size refuses an orbit larger than the budget from |W|/|W_J|
-    before it walks; the walk alone gives the same answers."""
+    """orbit_size answers from the index |W|/|W_J| and refuses one above
+    the budget; the walk alone (helpers.walk_only_orbit_size) gives the
+    same exit code, stdout and stderr at budgets n - 1 and n."""
 
     @pytest.mark.parametrize("name,node", ORBIT_CASES)
     def test_same_as_walk_only_at_budget_boundary(self, invoke, monkeypatch, name, node):
@@ -693,22 +697,28 @@ class TestWorkOncePerRequest:
 
 
 E6_FLIP_SPEC = "diagram E6\ngamma (1 6)(3 5)\nanisotropic 2 4\n"
-ENUM_D5_FLIP = str(Path(__file__).resolve().parents[1] / "bench" / "specs" / "enum-D5-flip.spec")
+BENCH_SPECS = Path(__file__).resolve().parents[1] / "bench" / "specs"
+ENUM_D5_FLIP = str(BENCH_SPECS / "enum-D5-flip.spec")
 MATRIX_FUNCTIONS = (("geometry", "realize"), ("weyl", "longest_element"),
                    ("weyl", "element_order"))
 
 
 def count_calls(monkeypatch, functions) -> dict[str, int]:
     """Count calls of each (module, name) in functions wherever a coxangle
-    module binds it."""
+    module binds it; a dotted name, Class.method, is counted on its class."""
     calls = {name: 0 for _, name in functions}
     for module, name in functions:
-        fn = getattr(sys.modules[f"coxangle.{module}"], name)
+        *path, attr = name.split(".")
+        owner = functools.reduce(getattr, path, sys.modules[f"coxangle.{module}"])
+        fn = getattr(owner, attr)
 
         def counting(*args, _fn=fn, _name=name, **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
 
+        if path:
+            monkeypatch.setattr(owner, attr, counting)
+            continue
         for mod_name, mod in list(sys.modules.items()):
             if mod_name.split(".")[0] == "coxangle" and getattr(mod, name, None) is fn:
                 monkeypatch.setattr(mod, name, counting)
@@ -745,6 +755,33 @@ class TestRequestPathBuildsNoMatrix:
         code, out, _ = invoke("enumerate", ENUM_D5_FLIP, "--format", "json")
         assert code == EXIT_OK and len(json.loads(out)["entries"]) > 1
         assert matrix_calls == {"realize": 0, "longest_element": 0, "element_order": 0}
+
+
+ENUMERATIVE_FUNCTIONS = (("weyl", "_walk"), ("weyl", "weyl_orbit"),
+                         ("diagram", "diagram_automorphisms"), ("diagram", "AutGroup.elements"))
+
+
+class TestRequestPathEnumeratesNothing:
+    """Every request is answered from type tables and closed forms: no
+    command line of the golden corpus walks an orbit or lists a group."""
+
+    def test_golden_corpus(self, invoke, monkeypatch):
+        monkeypatch.chdir(DATA_DIR)
+        monkeypatch.delenv(ORBIT_BUDGET_ENV, raising=False)
+        calls = count_calls(monkeypatch, ENUMERATIVE_FUNCTIONS)
+        for case in GOLDEN["cases"]:
+            assert invoke(*case["argv"])[0] == case["code"]
+        assert calls == dict.fromkeys(calls, 0)
+
+    def test_counter_sees_each_function(self, monkeypatch):
+        from coxangle.geometry import realize
+
+        calls = count_calls(monkeypatch, ENUMERATIVE_FUNCTIONS)
+        d = diag.builtin("A3")
+        assert diag.diagram_automorphisms(d).order() == 2
+        r = realize(d)
+        assert len(weyl_mod.weyl_orbit(r, r.fundamental_weights[1])) == 4
+        assert calls == dict.fromkeys(calls, 1)
 
 
 class TestRequestPathRestrictsNothing:
@@ -843,6 +880,19 @@ class TestDerivedOncePerRequest:
         assert code == EXIT_OK
         assert (derivations["automorphism"], derivations["partition"]) == (1, 1)
 
+    @pytest.mark.parametrize("spec", ["enum-D5-flip", "enum-D4-triality"])
+    def test_enumerate_checks_gamma_twice(self, invoke, derivations, spec):
+        # one generator each: checked by the spec's validation, which
+        # decides the exit code of an invalid spec, and by enumerate_indices
+        code, _, _ = invoke("enumerate", str(BENCH_SPECS / f"{spec}.spec"), "--format", "json")
+        assert code == EXIT_OK
+        assert derivations["automorphism"] == 2
+
+    def test_relative_rank_checks_gamma_once(self, derivations):
+        t = helpers.tits("E6", [(1, 6), (3, 5)], (2, 4))
+        assert tits_mod.relative_rank(t) == 2
+        assert derivations["automorphism"] == 1
+
     @pytest.mark.parametrize("name", ["B3", "H3"])
     def test_fold_checks_generators_first(self, derivations, name):
         # on H3, NotAnAutomorphism comes before NonCrystallographic
@@ -885,19 +935,95 @@ def tits_specs(draw):
     return "\n".join(lines) + "\n", orbits, frozenset(aniso)
 
 
+def _run_format(fmt: str, *argv: str) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one command line run in process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run([*argv, "--format", fmt])
+    assert code in (EXIT_OK, EXIT_DOMAIN, EXIT_PARSE, EXIT_CATALOG)
+    return code, out.getvalue(), err.getvalue()
+
+
 def _run_json(*argv: str):
     """Exit code and parsed JSON document of one command line run in
     process: the payload on stdout, or the error document on stderr."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run([*argv, "--format", "json"])
-    assert code in (EXIT_OK, EXIT_DOMAIN, EXIT_PARSE, EXIT_CATALOG)
-    return code, json.loads(out.getvalue() or err.getvalue())
+    code, out, err = _run_format("json", *argv)
+    return code, json.loads(out or err)
+
+
+def _cells(fmt: str, text: str) -> list[list[str]]:
+    """The header and rows of a table or CSV document, cell by cell; a
+    table's columns are read off the widths of its rule of dashes."""
+    if fmt == "csv":
+        return list(csv.reader(io.StringIO(text)))
+    header, rule, *rows = text.splitlines()
+    spans, start = [], 0
+    for dashes in rule.split("  "):
+        spans.append((start, start + len(dashes)))
+        start += len(dashes) + 2
+    return [[line[a:b].strip() for a, b in spans] for line in (header, *rows)]
+
+
+def _ints(cell: str) -> list[int]:
+    return [] if cell == "-" else [int(x) for x in cell.split()]
+
+
+def _assert_angle_cells(cells: list[str], doc: dict) -> None:
+    """The angle, cos and radians_approx cells carry the exact angle of the
+    JSON angle document."""
+    text, cos, radians = cells
+    if doc["kind"] == "rational_pi":
+        want = Angle("pi", Fraction(doc["pi_fraction"]))
+    else:
+        want = Angle.exact_cos(Fraction(doc["cos"]))
+    if text.startswith("arccos("):
+        got = Angle.exact_cos(Fraction(text[len("arccos("):-1]))
+    else:  # pi, pi/q or p*pi/q
+        p, _, q = text.partition("pi")
+        got = Angle.rational_pi(int(p.rstrip("*") or 1), int(q.lstrip("/") or 1))
+    assert got == want
+    assert (None if cos == "-" else Fraction(cos)) == want.cos_exact
+    assert float(radians) == doc["radians_approx"]
+
+
+def _assert_text_agrees(command: str, path: str, code: int, doc: dict) -> None:
+    """command on path in table and CSV format exits with the JSON run's
+    code, and its cells carry the exact values of the JSON document doc."""
+    for fmt in ("table", "csv"):
+        got_code, out, err = _run_format(fmt, command, path)
+        assert got_code == code, fmt
+        if code != EXIT_OK:
+            assert (out, err) == ("", f"error: {doc['error']['message']}\n"), fmt
+            continue
+        _, *rows = _cells(fmt, out)
+        if command == "min-angle":
+            ((*angle, verdict, achieved),) = rows
+            _assert_angle_cells(angle, doc["angle"])
+            assert verdict == doc["verdict"]
+            assert [_ints(orb.strip("{}").replace(",", " "))
+                    for orb in achieved.split()] == doc["achieved_by"]
+        elif command == "fold":
+            ((name, nodes, edges, node_map, aniso),) = rows
+            assert name == doc["folded"]["type"]
+            assert _ints(nodes) == doc["folded"]["nodes"]
+            assert [_ints(e.strip("()").replace(",", " "))
+                    for e in edges.split()] == doc["folded"]["edges"]
+            assert {k: int(v) for k, v in (pair.split("->") for pair in node_map.split())} \
+                == doc["node_map"]
+            assert _ints(aniso) == doc["anisotropic"]
+        else:
+            assert len(rows) == len(doc["entries"]), fmt
+            for (aniso, rel, *angle, verdict), entry in zip(rows, doc["entries"]):
+                assert _ints(aniso) == entry["anisotropic"]
+                assert int(rel) == entry["rel_rank"]
+                _assert_angle_cells(angle, entry["angle"])
+                assert verdict == entry["verdict"]
 
 
 class TestCommandsAgree:
     """validate, min-angle, fold and enumerate on one random Tits spec
-    answer consistently with each other and with the spec itself."""
+    answer consistently with each other and with the spec itself, and
+    min-angle, fold and enumerate carry the same values in every format."""
 
     @settings(deadline=10_000, max_examples=60)
     @given(case=tits_specs())
@@ -925,3 +1051,7 @@ class TestCommandsAgree:
         if code == EXIT_OK and enum_code == EXIT_OK:
             (row,) = [e for e in listing["entries"] if e["anisotropic"] == sorted(aniso)]
             assert row["angle"] == angle["angle"]
+
+        _assert_text_agrees("min-angle", path, code, angle)
+        _assert_text_agrees("fold", path, fold_code, folded)
+        _assert_text_agrees("enumerate", path, enum_code, listing)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import coxangle.diagram as diagram_mod
+import coxangle.weyl as weyl_mod
 import helpers
 from coxangle.angle import PI, PI_OVER_2, PI_OVER_3, Angle, Verdict
 from coxangle.diagram import (
@@ -18,6 +19,7 @@ from coxangle.diagram import (
     component_of,
     diagram_automorphisms,
     new_diagram,
+    restrict,
 )
 from coxangle.dsl import parse_spec
 from coxangle.errors import (
@@ -589,6 +591,40 @@ class TestEnumerateSearch:
         rows = enumerate_indices(d, AutGroup.trivial(d.nodes))
         assert len(rows) == 2 ** k - 1
         assert all(a == PI for _, a, _ in rows)
+
+
+def _geometric_angle(d, orbits, kernel: frozenset, orbit: tuple) -> Angle:
+    """The angle of the isotropic orbit O = orbit, read off geometry with
+    neither the fold nor the closed form: realize the restriction to
+    K = kernel u O, take v = sum of omega_i over O, close its orbit under
+    the w_J of the Gamma-orbits J in K, and take the largest cosine between
+    v and another point. W^Gamma acts on the Gamma-fixed space as the
+    reflection group of the folded type (Steinberg, Lectures on Chevalley
+    Groups, 11), and v spans the folded fundamental weight at O.
+    """
+    keep = kernel.union(orbit)
+    sub = restrict(d, keep)
+    node_map = {i: min(o) for o in orbits if keep.issuperset(o) for i in o}
+    gens = [w.matrix for w in helpers.orbit_generators(sub, node_map).values()]
+    weights = realize(sub).fundamental_weights
+    v = tuple(map(sum, zip(*(weights[i] for i in orbit))))
+    points = diagram_mod._reach((v,), lambda x: (weyl_mod._mat_vec(g, x) for g in gens))
+    return Angle.exact_cos(max(dot(v, x) for x in points if x != v) / dot(v, v))
+
+
+@pytest.mark.parametrize("name", ["A2", "A3", "A4", "A5", "A6", "D4", "D5", "E6"])
+def test_enumerate_angles_match_geometry(name):
+    """Each enumerate row's minimal angle is the smallest geometric angle
+    of its isotropic orbits, under the trivial group, each cyclic subgroup
+    of the automorphism group, and the full group."""
+    d = builtin(name)
+    for g in _groups(d):
+        elements = g.elements()
+        orbits = sorted({tuple(sorted({e(i) for e in elements})) for i in d.nodes})
+        for t, angle, _ in enumerate_indices(d, g):
+            want = min(_geometric_angle(d, orbits, t.anisotropic, o)
+                       for o in orbits if not t.anisotropic.issuperset(o))
+            assert angle == want, (g.generators, t.anisotropic)
 
 
 class TestCatalog:

@@ -167,7 +167,7 @@ class TestOrbits:
             realize(builtin(name))
         assert str(info.value) == str(want.value)
 
-    def test_orbit_size_walks_only_the_node_component(self):
+    def test_orbit_size_reads_only_the_node_component(self):
         # W(H3) fixes the weights of the A2 component, so H3 does not matter
         d = new_diagram([1, 2, 3, 4, 5], [(1, 2, 5), (2, 3, 3), (4, 5, 3)])
         assert orbit_size(d, 4) == 3
