@@ -18,9 +18,7 @@ from .diagram import (
     Permutation,
     builtin,
     classify,
-    connected_components,
     component_of,
-    diagram_automorphisms,
     new_diagram,
     orbits,
     restrict,
@@ -109,8 +107,6 @@ __all__ = [
     "builtin",
     "classify",
     "component_of",
-    "connected_components",
-    "diagram_automorphisms",
     "element_order",
     "enumerate_indices",
     "fold",

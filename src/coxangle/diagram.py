@@ -1,5 +1,5 @@
-"""Spherical Coxeter diagrams: construction, builtin families, components,
-restriction, and diagram automorphisms.
+"""Spherical Coxeter diagrams: construction, builtin families, components
+and restriction.
 
 A diagram is stored as its sorted node-label tuple plus the set of labeled
 edges (i, j, m) with i < j and m >= 3; absent pairs mean m = 2. Labels are
@@ -88,9 +88,6 @@ class CoxeterDiagram:
         """Types of the components, ordered by smallest label: the one
         classification of this diagram, which classify reads."""
         return _classify_induced(self)
-
-    def degree(self, i: int) -> int:
-        return len(self.neighbors(i))
 
     def __str__(self) -> str:
         return type_name(self)
@@ -214,9 +211,6 @@ class AutGroup:
         """Closure of the generators (always contains the identity)."""
         ident = Permutation.identity(self.domain)
         return frozenset(_reach((ident,), lambda e: (g.compose(e) for g in self.generators)))
-
-    def order(self) -> int:
-        return len(self.elements())
 
 
 _EXCEPTIONAL_DEGREES = {
@@ -422,11 +416,6 @@ def _partition(nodes: Iterable[int], step) -> tuple[tuple[int, ...], ...]:
     return tuple(classes)
 
 
-def connected_components(d: CoxeterDiagram) -> list[CoxeterDiagram]:
-    """Maximal connected subdiagrams, ordered by smallest label."""
-    return [restrict(d, c) for c in _partition(d.nodes, d.neighbors)]
-
-
 def component_of(d: CoxeterDiagram, i: int) -> CoxeterDiagram:
     """The connected component containing node i."""
     return restrict(d, _reach((i,), d.neighbors))
@@ -588,41 +577,6 @@ def check_automorphisms(d: CoxeterDiagram, g: AutGroup) -> None:
     for p in g.generators:
         if not is_automorphism(d, p):
             raise NotAnAutomorphism(f"{p.cycle_string()} does not preserve the Coxeter matrix")
-
-
-def diagram_automorphisms(d: CoxeterDiagram) -> AutGroup:
-    """The full automorphism group as an explicit element list.
-
-    Backtracking over label assignments, pruned by the multiset of incident
-    edge labels; diagram ranks in scope are small, so this is plenty fast.
-    """
-    nodes = list(d.nodes)
-    sig = {i: tuple(sorted(d.m(i, j) for j in d.neighbors(i))) for i in nodes}
-    found: list[Permutation] = []
-
-    def extend(assignment: dict[int, int], used: set[int], k: int) -> None:
-        if k == len(nodes):
-            found.append(Permutation.from_dict(dict(assignment)))
-            return
-        i = nodes[k]
-        for cand in nodes:
-            if cand in used or sig[cand] != sig[i]:
-                continue
-            ok = True
-            for j, img in assignment.items():
-                if d.m(i, j) != d.m(cand, img):
-                    ok = False
-                    break
-            if ok:
-                assignment[i] = cand
-                used.add(cand)
-                extend(assignment, used, k + 1)
-                del assignment[i]
-                used.remove(cand)
-
-    extend({}, set(), 0)
-    gens = tuple(p for p in found if not p.is_identity)
-    return AutGroup(tuple(nodes), gens)
 
 
 def orbits(d: CoxeterDiagram, g: AutGroup) -> tuple[tuple[int, ...], ...]:

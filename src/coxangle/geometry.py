@@ -118,12 +118,6 @@ def _solve(matrix: list[list[Fraction]], rhs_count: int) -> list[list[Fraction]]
     return [[aug[r][n + i] for r in range(n)] for i in range(rhs_count)]
 
 
-def require_crystallographic(d: CoxeterDiagram) -> tuple[ComponentType, ...]:
-    """classify(d), d's one classification; raises NonCrystallographic on
-    H or I_2(m) parts."""
-    return _crystallographic(diag.classify(d))
-
-
 def _crystallographic(types: tuple[ComponentType, ...]) -> tuple[ComponentType, ...]:
     """types; raises NonCrystallographic on H or I_2(m) among them."""
     bad = [ct.name for ct in types if not ct.crystallographic]
@@ -133,8 +127,9 @@ def _crystallographic(types: tuple[ComponentType, ...]) -> tuple[ComponentType, 
 
 
 def realize(d: CoxeterDiagram) -> Realization:
-    """Exact realization of d; raises NonCrystallographic on H or I_2(m) parts."""
-    comps = require_crystallographic(d)
+    """Exact realization of d, block by block over classify(d), d's one
+    classification; raises NonCrystallographic on H or I_2(m) parts."""
+    comps = _crystallographic(diag.classify(d))
     total_dim = 0
     blocks: list[tuple[ComponentType, int, dict[int, Vector]]] = []
     for ct in comps:

@@ -20,8 +20,9 @@ read each clause and each angle on that piece (_rank_one_piece), and the
 search of enumerate_indices forms the same piece as its C, so no pass
 restricts to the whole anisotropic set once per orbit. Pieces and
 candidate components are classified in place (diagram._classify_induced),
-with no restricted copy: the opposition is read from the resulting
-component types (weyl._opposition_map), and so is the angle (_type_angle).
+with no restricted copy: validate and the search read an orbit's clause
+from the resulting component types through one helper (_opposed), and
+the angle is read from them too (_type_angle).
 
 The angular distance at a node only depends on its connected component (the
 Weyl group acts componentwise and the fundamental weight lies in the
@@ -131,9 +132,7 @@ def validate(t: TitsDiagram) -> ValidationReport:
                 f"orbit {set(orbit)} meets the anisotropic set without being contained in it",
             ))
         elif not inside:
-            sigma = weyl._opposition_map(
-                diag._classify_induced(t.diagram, _rank_one_piece(t.diagram, aniso, orbit)))
-            image = frozenset(sigma[i] for i in orbit)
+            image = _opposed(t.diagram, _rank_one_piece(t.diagram, aniso, orbit), orbit)
             if image != frozenset(orbit):
                 violations.append(Violation(
                     "opposition-violated", orbit,
@@ -155,19 +154,18 @@ def _rank_one_piece(d: CoxeterDiagram, aniso: frozenset[int], orbit) -> set[int]
     return diag._reach(orbit, lambda i: aniso.intersection(d.neighbors(i)))
 
 
+def _opposed(d: CoxeterDiagram, piece: Iterable[int], orbit) -> frozenset[int]:
+    """The image of orbit under the opposition of the subdiagram of d
+    induced on piece, classified in place: the orbit's opposition clause
+    holds when the image is the orbit itself."""
+    sigma = weyl._opposition_map(diag._classify_induced(d, piece))
+    return frozenset(sigma[i] for i in orbit)
+
+
 def ensure_valid(t: TitsDiagram) -> None:
     report = validate(t)
     if not report.ok:
         raise InvalidTitsDiagram(report.violations)
-
-
-def isotropic_orbits(t: TitsDiagram) -> list[tuple[int, ...]]:
-    """Gamma-orbits not contained in A, in smallest-member order."""
-    return [
-        orbit
-        for orbit in diag.orbits(t.diagram, t.gamma)
-        if not t.anisotropic.issuperset(orbit)
-    ]
 
 
 def relative_rank(t: TitsDiagram) -> int:
@@ -251,20 +249,19 @@ def minimal_angle_report(t: TitsDiagram) -> tuple[Angle, list[tuple[int, ...]]]:
     """Minimal angle plus the isotropic orbits achieving it (tie diagnostics).
 
     Folds by fold_tits, then takes the angular distance at each isotropic
-    node v of the fold on its rank-one piece: v and the nodes of the folded
-    A joined to it through the folded A (_rank_one_piece).
+    orbit's node v of the fold on its rank-one piece: v and the nodes of the
+    folded A joined to it through the folded A (_rank_one_piece). The fold
+    labels each Gamma-orbit by its smallest member, so the angles are keyed
+    by Gamma's own orbits.
     """
     folding, folded_a = fold_tits(t)
     folded = folding.folded
-    angles = {v: _connected_angle(folded, _rank_one_piece(folded, folded_a, (v,)), v)
-              for v in folded.nodes if v not in folded_a}
+    angles = {o: _connected_angle(folded, _rank_one_piece(folded, folded_a, o[:1]), o[0])
+              for o in t.gamma._orbits if o[0] not in folded_a}
     if not angles:
         raise ZeroRelativeRank("every node is anisotropic; the minimal angle is undefined")
-    orbits: dict[int, list[int]] = {}
-    for i, v in sorted(folding.node_map.items()):
-        orbits.setdefault(v, []).append(i)
     best = min(angles.values())
-    return best, [tuple(orbits[v]) for v, angle in angles.items() if angle == best]
+    return best, [o for o, angle in angles.items() if angle == best]
 
 
 def _connected_angle(d: CoxeterDiagram, nodes: Iterable[int], v: int) -> Angle:
@@ -384,9 +381,8 @@ def _search_kernels(
     def holds(key: _Key) -> bool:
         if key not in clause:
             o, comp = key
-            sigma = weyl._opposition_map(
-                diag._classify_induced(d, [i for p in comp for i in orbits[p]]))
-            clause[key] = {sigma[i] for i in orbits[o]} == set(orbits[o])
+            piece = [i for p in comp for i in orbits[p]]
+            clause[key] = _opposed(d, piece, orbits[o]) == frozenset(orbits[o])
         return clause[key]
 
     found = []

@@ -15,6 +15,10 @@ validates every candidate kernel, where tits.enumerate_indices searches
 with pruning. whole_set_violations and whole_set_minimal_angle_report
 read each isotropic orbit's opposition clause and angle on the whole
 anisotropic set, where tits reads them on the orbit's rank-one piece.
+diagram_automorphisms lists the full automorphism group, at a cost that
+grows as k! on A1^k, where the library takes Gamma from its generators;
+connected_components builds a restricted copy per component, where the
+library classifies components in place.
 """
 
 from __future__ import annotations
@@ -151,7 +155,7 @@ def realized_opposition(d: CoxeterDiagram) -> dict[int, int]:
     w_0 = -1 (it lies in W(H_3) and W(H_4)), so sigma is the identity there.
     """
     out: dict[int, int] = {}
-    for comp in diag.connected_components(d):
+    for comp in connected_components(d):
         ct = diag.classify(comp)[0]
         if ct.family == "I2":
             a, b = comp.nodes
@@ -311,6 +315,26 @@ def orbit_generators(d: CoxeterDiagram, node_map: dict[int, int]):
     for i, label in node_map.items():
         orbits.setdefault(label, []).append(i)
     return {label: weyl.longest_element(r, orbits[label]) for label in sorted(orbits)}
+
+
+def connected_components(d: CoxeterDiagram) -> list[CoxeterDiagram]:
+    """Maximal connected subdiagrams, ordered by smallest label."""
+    return [diag.restrict(d, c) for c in diag._partition(d.nodes, d.neighbors)]
+
+
+def diagram_automorphisms(d: CoxeterDiagram) -> AutGroup:
+    """The full automorphism group, every element listed as a generator.
+
+    Extends the partial maps that keep m_ij on the first k nodes to the
+    first k + 1, node by node: k! of them on A1^k, but the tests' diagrams
+    are small.
+    """
+    nodes, maps = d.nodes, [()]
+    for i in nodes:
+        maps = [images + (c,) for images in maps for c in nodes if c not in images
+                and all(d.m(i, j) == d.m(c, img) for j, img in zip(nodes, images))]
+    perms = (Permutation.from_dict(dict(zip(nodes, images))) for images in maps)
+    return AutGroup(nodes, tuple(p for p in perms if not p.is_identity))
 
 
 def gen_group(d: CoxeterDiagram, cycles) -> AutGroup:

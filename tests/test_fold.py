@@ -12,7 +12,6 @@ from coxangle.diagram import (
     AutGroup,
     Permutation,
     builtin,
-    diagram_automorphisms,
     new_diagram,
     orbits,
     type_name,
@@ -102,7 +101,7 @@ class TestNodeMap:
 
     def test_generators_keyed_by_folded_nodes(self):
         d = builtin("D4")
-        res = fold(d, diagram_automorphisms(d))
+        res = fold(d, helpers.diagram_automorphisms(d))
         gens = helpers.orbit_generators(d, res.node_map)
         assert set(gens) == set(res.folded.nodes) == {1, 2}
 
@@ -272,7 +271,7 @@ def _oracle_cases():
     cases = []
     for name in SYMMETRIC:
         d = builtin(name)
-        full = diagram_automorphisms(d)
+        full = helpers.diagram_automorphisms(d)
         cases.append((f"{name}-full", d, full))
         seen = {full.elements()}
         for p in sorted(full.elements(), key=lambda p: p.mapping):
@@ -282,12 +281,12 @@ def _oracle_cases():
                 cases.append((f"{name}-<{p.cycle_string()}>", d, cyclic))
     for name in SUMS:
         d = builtin(name)
-        cases.append((f"{name}-full", d, diagram_automorphisms(d)))
+        cases.append((f"{name}-full", d, helpers.diagram_automorphisms(d)))
     rng = random.Random(20)
     for name in ("E6", "D4+D4"):
         for k in range(2):
             d = helpers.relabeled(builtin(name), rng)
-            cases.append((f"{name}-relabelled-{k}", d, diagram_automorphisms(d)))
+            cases.append((f"{name}-relabelled-{k}", d, helpers.diagram_automorphisms(d)))
     return cases
 
 

@@ -17,7 +17,6 @@ from coxangle.diagram import (
     Permutation,
     builtin,
     component_of,
-    diagram_automorphisms,
     new_diagram,
     restrict,
 )
@@ -38,7 +37,6 @@ from coxangle.tits import (
     admissibility,
     angular_distance,
     enumerate_indices,
-    isotropic_orbits,
     minimal_angle,
     minimal_angle_report,
     rank_one_subdiagrams,
@@ -143,14 +141,6 @@ class TestRelativeRank:
     def test_zero(self):
         d = builtin("B3")
         assert relative_rank(tits_diagram(d, anisotropic=list(d.nodes))) == 0
-
-
-class TestIsotropicOrbits:
-    def test_orbits_listed_sorted(self):
-        d = builtin("E6")
-        g = helpers.gen_group(d, [(1, 6), (3, 5)])
-        t = TitsDiagram(d, g, frozenset({3, 4, 5}))
-        assert isotropic_orbits(t) == [(1, 6), (2,)]
 
 
 class TestRankOneSubdiagrams:
@@ -511,7 +501,7 @@ class TestEnumerate:
 def _groups(d) -> list:
     """The trivial group, every distinct cyclic subgroup of the automorphism
     group, and the full group."""
-    full = diagram_automorphisms(d)
+    full = helpers.diagram_automorphisms(d)
     groups = [AutGroup.trivial(d.nodes)]
     seen = {groups[0].elements()}
     for p in sorted(full.elements(), key=lambda p: p.mapping) + [None]:
@@ -593,6 +583,12 @@ class TestEnumerateSearch:
         assert all(a == PI for _, a, _ in rows)
 
 
+def _element_orbits(d, g) -> list[tuple[int, ...]]:
+    """The orbits of g on d's nodes, read off the closure g.elements()."""
+    elements = g.elements()
+    return sorted({tuple(sorted({e(i) for e in elements})) for i in d.nodes})
+
+
 def _geometric_angle(d, orbits, kernel: frozenset, orbit: tuple) -> Angle:
     """The angle of the isotropic orbit O = orbit, read off geometry with
     neither the fold nor the closed form: realize the restriction to
@@ -619,12 +615,22 @@ def test_enumerate_angles_match_geometry(name):
     of the automorphism group, and the full group."""
     d = builtin(name)
     for g in _groups(d):
-        elements = g.elements()
-        orbits = sorted({tuple(sorted({e(i) for e in elements})) for i in d.nodes})
+        orbits = _element_orbits(d, g)
         for t, angle, _ in enumerate_indices(d, g):
             want = min(_geometric_angle(d, orbits, t.anisotropic, o)
                        for o in orbits if not t.anisotropic.issuperset(o))
             assert angle == want, (g.generators, t.anisotropic)
+
+
+@pytest.mark.parametrize("entry", reference_catalog(), ids=lambda entry: entry.name)
+def test_catalog_angles_match_geometry(entry):
+    """Each reference catalog entry states the smallest geometric angle of
+    its isotropic orbits, Gamma's orbits read off Gamma's elements."""
+    t = entry.tits
+    orbits = _element_orbits(t.diagram, t.gamma)
+    want = min(_geometric_angle(t.diagram, orbits, t.anisotropic, o)
+               for o in orbits if not t.anisotropic.issuperset(o))
+    assert entry.expected == want
 
 
 class TestCatalog:
@@ -670,7 +676,7 @@ def test_component_reduction_random_sums(left, right, node_index):
 @given(st.sampled_from(["A3", "A5", "B3", "D4", "E6", "F4", "I2(8)"]))
 def test_quasi_split_law_over_subgroups(name):
     d = builtin(name)
-    full = diagram_automorphisms(d)
+    full = helpers.diagram_automorphisms(d)
     groups = [AutGroup.trivial(d.nodes), full]
     groups += [AutGroup.generated_by([p], d.nodes) for p in full.elements()]
     for g in groups:
@@ -689,7 +695,7 @@ def test_rank_one_pieces_match_whole_set_reference(data):
     # A, either a union of orbits or any node set
     names = data.draw(st.lists(st.sampled_from(PIECE_PARTS), min_size=1, max_size=3))
     d = helpers.relabeled(builtin("+".join(names)), data.draw(st.randoms(use_true_random=False)))
-    automorphisms = sorted(diagram_automorphisms(d).generators, key=lambda p: p.mapping)
+    automorphisms = sorted(helpers.diagram_automorphisms(d).generators, key=lambda p: p.mapping)
     picked = data.draw(st.lists(st.sampled_from(automorphisms), min_size=1, max_size=2,
                                 unique=True) if automorphisms else st.just([]))
     g = AutGroup.generated_by(picked, d.nodes)
