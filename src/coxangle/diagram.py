@@ -19,7 +19,11 @@ Each derived fact is derived once per value and kept on it. A diagram
 keeps its classification (CoxeterDiagram._types), filled by the classify
 call in new_diagram that checks sphericity; classify and component_type
 read it, and so does every layer that asks for a type, its order,
-opposition or crystallographic check. A group keeps its orbit partition
+opposition or crystallographic check. A diagram also keeps the type of
+each connected node set it classifies (CoxeterDiagram._component_types,
+keyed by the sorted nodes), whole components included, so a rank-one
+piece, candidate component, orbit or stabilizer met again by any layer
+is not classified again. A group keeps its orbit partition
 (AutGroup._orbits), which depends only on its generators and domain;
 orbits checks the generators against the diagram and then reads it.
 """
@@ -88,6 +92,12 @@ class CoxeterDiagram:
         """Types of the components, ordered by smallest label: the one
         classification of this diagram, which classify reads."""
         return _classify_induced(self)
+
+    @cached_property
+    def _component_types(self) -> dict[tuple[int, ...], ComponentType]:
+        """Type of each connected node set classified so far, keyed by its
+        sorted nodes: _classify_induced reads it and fills it."""
+        return {}
 
     def __str__(self) -> str:
         return type_name(self)
@@ -527,13 +537,22 @@ def _classify_induced(
     The subdiagram is classified in place: d's adjacency, filtered to keep,
     gives its components and their shapes, and d gives the bond labels, so
     no restricted copy is built. The types equal classify(restrict(d, keep)).
+
+    Each component is classified once per diagram. Its type depends only on
+    d and its nodes, since the filtered adjacency restricted to a component
+    is d's adjacency on it, so the type is kept in d._component_types under
+    the sorted nodes, and a later call that meets the same node set reads it.
     """
     adjacency = d._adjacency
     if keep is not None:
         keep = set(keep)
         adjacency = {i: tuple(j for j in adjacency[i] if j in keep) for i in keep}
-    return tuple(_classify_component(d, adjacency, c)
-                 for c in _partition(adjacency, adjacency.__getitem__))
+    parts = _partition(adjacency, adjacency.__getitem__)
+    kept = d._component_types
+    for c in parts:
+        if c not in kept:
+            kept[c] = _classify_component(d, adjacency, c)
+    return tuple(kept[c] for c in parts)
 
 
 def classify(d: CoxeterDiagram) -> tuple[ComponentType, ...]:

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Optional, Union
 from . import diagram as diag
 from . import tits as tits_mod
 from .diagram import AutGroup, CoxeterDiagram, Permutation
-from .errors import CoxangleError, InvalidTitsDiagram, ParseError
+from .errors import CoxangleError, ParseError
 from .tits import TitsDiagram
 
 if TYPE_CHECKING:
@@ -118,12 +118,8 @@ def parse_spec(
     aniso: Optional[list[int]] = None
     spans: dict[str, tuple[int, int]] = {}
 
-    def note_span(key: str, line_no: int) -> None:
-        lo, hi = spans.get(key, (line_no, line_no))
-        spans[key] = (min(lo, line_no), max(hi, line_no))
-
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip("\r")
+        line = raw.split("#", 1)[0]
         words = line.split()
         if not words:
             continue
@@ -132,32 +128,24 @@ def parse_spec(
             raise ParseError(
                 f"expected a diagram clause first, got {key!r}", line_no, 1
             )
+        if key in ("nodes", "edge") and diagram_name != "custom":
+            raise ParseError(
+                f"{key} clause is only valid after 'diagram custom'", line_no, 1
+            )
+        if key in ("diagram", "nodes", "anisotropic") and key in spans:
+            raise ParseError(f"duplicate {key} clause", line_no, 1)
+        if key in ("nodes", "anisotropic") and not rest:
+            raise ParseError(f"{key} expects at least one label", line_no, 1)
         if key == "diagram":
-            if diagram_name is not None:
-                raise ParseError("duplicate diagram clause", line_no, 1)
             if len(rest) != 1:
                 raise ParseError("diagram expects exactly one name", line_no, 1)
             diagram_name = rest[0]
             diagram_line = line_no
-            note_span(key, line_no)
         elif key == "nodes":
-            if diagram_name != "custom":
-                raise ParseError(
-                    "nodes clause is only valid after 'diagram custom'", line_no, 1
-                )
-            if nodes is not None:
-                raise ParseError("duplicate nodes clause", line_no, 1)
-            if not rest:
-                raise ParseError("nodes expects at least one label", line_no, 1)
             nodes = _ints(rest, line_no, line, key)
             if len(set(nodes)) != len(nodes):
                 raise ParseError("duplicate node labels", line_no, 1)
-            note_span(key, line_no)
         elif key == "edge":
-            if diagram_name != "custom":
-                raise ParseError(
-                    "edge clause is only valid after 'diagram custom'", line_no, 1
-                )
             if len(rest) != 3:
                 raise ParseError("edge expects: edge <i> <j> <m>", line_no, 1)
             i, j, m = _ints(rest, line_no, line, key)
@@ -165,45 +153,27 @@ def parse_spec(
                 raise ParseError(f"edge label must be >= 2, got {m}", line_no, 1)
             edges.append((i, j, m))
             edge_lines.append(line_no)
-            note_span(key, line_no)
         elif key == "gamma":
             gamma_cycles.append(_parse_cycles(" ".join(rest), line_no, line))
-            note_span(key, line_no)
         elif key == "anisotropic":
-            if aniso is not None:
-                raise ParseError("duplicate anisotropic clause", line_no, 1)
-            if not rest:
-                raise ParseError("anisotropic expects at least one label", line_no, 1)
             aniso = _ints(rest, line_no, line, key)
-            note_span(key, line_no)
         else:
             raise ParseError(f"unknown key {key!r}", line_no, 1)
+        spans[key] = (spans.get(key, (line_no,))[0], line_no)
 
     if diagram_name is None:
         raise ParseError("empty specification: no diagram clause", 1, 1)
-
+    if diagram_name == "custom":
+        if nodes is None:
+            raise ParseError("diagram custom requires a nodes clause", diagram_line, 1)
+        known = set(nodes)
+        for (i, j, _), ln in zip(edges, edge_lines):
+            if i not in known or j not in known:
+                missing = i if i not in known else j
+                raise ParseError(f"edge references unknown node {missing}", ln, 1)
     try:
-        if diagram_name == "custom":
-            if nodes is None:
-                raise ParseError(
-                    "diagram custom requires a nodes clause", diagram_line, 1
-                )
-            known = set(nodes)
-            for (i, j, _), ln in zip(edges, edge_lines):
-                if i not in known or j not in known:
-                    missing = i if i not in known else j
-                    raise ParseError(f"edge references unknown node {missing}", ln, 1)
-            d = diag.new_diagram(nodes, edges)
-        else:
-            if nodes is not None or edges:
-                raise ParseError(
-                    "nodes/edge clauses are only valid for diagram custom",
-                    diagram_line,
-                    1,
-                )
-            d = diag.builtin(diagram_name)
-    except ParseError:
-        raise
+        d = (diag.new_diagram(nodes, edges) if diagram_name == "custom"
+             else diag.builtin(diagram_name))
     except CoxangleError as exc:
         raise ParseError(str(exc), diagram_line, 1) from exc
 
@@ -218,9 +188,7 @@ def parse_spec(
         line_no = spans.get("gamma", spans.get("anisotropic", (diagram_line,) * 2))[0]
         raise ParseError(str(exc), line_no, 1) from exc
     if require_valid:
-        report = tits_mod.validate(payload)
-        if not report.ok:
-            raise InvalidTitsDiagram(report.violations)
+        tits_mod.ensure_valid(payload)
     return SpecDocument(text, payload, filename, spans)
 
 

@@ -22,7 +22,9 @@ restricts to the whole anisotropic set once per orbit. Pieces and
 candidate components are classified in place (diagram._classify_induced),
 with no restricted copy: validate and the search read an orbit's clause
 from the resulting component types through one helper (_opposed), and
-the angle is read from them too (_type_angle).
+the angle is read from them too (_type_angle). The diagram keeps each
+type it finds under its node set, so a piece whose clause was read is not
+classified again for its angle, nor under another kernel in the search.
 
 The angular distance at a node only depends on its connected component (the
 Weyl group acts componentwise and the fundamental weight lies in the
@@ -300,10 +302,11 @@ def enumerate_indices(
     isotropic. The opposition clause of an isotropic orbit O depends only
     on C, the component of A u O that meets O, so it is checked as soon as
     every orbit next to C is decided, and a failing clause prunes the
-    branch; rel_rank prunes once it cannot be met.
-    The clause is memoized per (O, C), and so is O's angular distance, which
-    is read in the folded diagram on the image of C. The fold of (d, g) does
-    not depend on A; it is computed once, and only if some kernel is valid.
+    branch; rel_rank prunes once it cannot be met. O's angular distance
+    is read in the folded diagram on the image of C. Each diagram keeps the
+    type of every node set it classifies, so a C met again, under another
+    O or kernel, is not classified again. The fold of (d, g) does not depend
+    on A; it is computed once, and only if some kernel is valid.
     Angles are computed kernel by kernel, fewest anisotropic orbits first,
     so a non-crystallographic component raises at the same kernel as a
     plain loop over the candidates would.
@@ -317,17 +320,10 @@ def enumerate_indices(
         return []
     # the fold labels each orbit by its smallest member, orbits[p][0]
     folded = _fold(d, g).folded
-    angles: dict[_Key, Angle] = {}
-
-    def angle_at(key: _Key) -> Angle:
-        if key not in angles:
-            o, comp = key
-            angles[key] = _connected_angle(folded, [orbits[p][0] for p in comp], orbits[o][0])
-        return angles[key]
-
     results = []
     for in_a, keys in sorted(kernels, key=lambda k: (len(k[0]), k[0])):
-        angle = min(angle_at(key) for key in keys)
+        angle = min(_connected_angle(folded, [orbits[p][0] for p in comp], orbits[o][0])
+                    for o, comp in keys)
         kernel = frozenset(i for p in in_a for i in orbits[p])
         results.append((TitsDiagram(d, g, kernel), angle, verdict_against_pi_over_3(angle)))
     results.sort(key=lambda row: tuple(sorted(row[0].anisotropic)))
@@ -363,7 +359,6 @@ def _search_kernels(
             order += [q for q in adjacent[order[k]] if q not in order]
             k += 1
     step = {p: k for k, p in enumerate(order)}
-    clause: dict[_Key, bool] = {}
 
     def component(o: int, in_a: tuple[bool, ...]) -> Optional[frozenset[int]]:
         """C for the isotropic orbit o, or None while an orbit next to it is
@@ -378,12 +373,9 @@ def _search_kernels(
                     stack.append(q)
         return frozenset(seen)
 
-    def holds(key: _Key) -> bool:
-        if key not in clause:
-            o, comp = key
-            piece = [i for p in comp for i in orbits[p]]
-            clause[key] = _opposed(d, piece, orbits[o]) == frozenset(orbits[o])
-        return clause[key]
+    def holds(o: int, comp: frozenset[int]) -> bool:
+        piece = [i for p in comp for i in orbits[p]]
+        return _opposed(d, piece, orbits[o]) == frozenset(orbits[o])
 
     found = []
     # (decisions so far, isotropic orbits whose C is still open, keys of the closed ones)
@@ -395,7 +387,7 @@ def _search_kernels(
             comp = component(o, in_a)
             if comp is None:
                 still_open.append(o)
-            elif holds((o, comp)):
+            elif holds(o, comp):
                 keys += ((o, comp),)
             else:
                 break

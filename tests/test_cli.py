@@ -835,18 +835,33 @@ def derivations(monkeypatch):
     return calls
 
 
-class TestDerivedOncePerRequest:
-    """A diagram is classified once and a group's orbits are partitioned
-    once per request: later layers read the kept values."""
+# spec sources of the classification count: a rank-one piece that is a
+# whole component (B3), pieces met by both the opposition clause and the
+# angle (A7, E6 and A5 with their flips), and enumerate's search (D5 flip)
+CLASSIFIED_SPECS = {
+    "A7-spec": A7_SPEC,
+    "E6-flip-spec": E6_FLIP_SPEC,
+    "B3-aniso-23-spec": "diagram B3\nanisotropic 2 3\n",
+    "A5-flip-aniso-1245-spec": A5_FOLDED_SPEC,
+    "enum-D5-flip-spec": None,
+}
+SPEC_ARGVS = [["validate"], ["min-angle"], ["fold"], ["enumerate"], *DIAGRAM_ONLY_ARGVS]
 
-    @pytest.mark.parametrize("argv", DIAGRAM_ONLY_ARGVS, ids=" ".join)
-    @pytest.mark.parametrize("source", ["E6", "B3+A2", "D4+A1+A1", "A7-spec", "E6-flip-spec"])
-    def test_diagram_only_commands_classify_nothing_twice(
+
+class TestDerivedOncePerRequest:
+    """Each connected node set of a diagram is classified once and a
+    group's orbits are partitioned once per request: later layers read the
+    kept values."""
+
+    @pytest.mark.parametrize("argv", SPEC_ARGVS, ids=" ".join)
+    @pytest.mark.parametrize("source", ["E6", "B3+A2", "D4+A1+A1", *CLASSIFIED_SPECS])
+    def test_no_command_classifies_a_node_set_twice(
         self, invoke, derivations, tmp_path, argv, source
     ):
-        if source.endswith("-spec"):
-            text = A7_SPEC if source == "A7-spec" else E6_FLIP_SPEC
-            code, _, _ = invoke(argv[0], write(tmp_path, text), *argv[1:])
+        if source in CLASSIFIED_SPECS:
+            text = CLASSIFIED_SPECS[source]
+            path = ENUM_D5_FLIP if text is None else write(tmp_path, text)
+            code, _, _ = invoke(argv[0], path, *argv[1:])
         else:
             code, _, _ = invoke(argv[0], "--diagram", source, *argv[1:])
         assert code == EXIT_OK

@@ -82,33 +82,43 @@ class TestSyntax:
 
 class TestErrors:
     @pytest.mark.parametrize(
-        "text,line,fragment",
+        "text,line,col,message",
         [
-            ("frobnicate 1\n", 1, "diagram clause first"),
-            ("diagram A5\nfrobnicate\n", 2, "unknown key"),
-            ("diagram A5\ndiagram A5\n", 2, "duplicate diagram"),
-            ("diagram A5 A6\n", 1, "exactly one name"),
-            ("diagram Q9\n", 1, "unrecognized builtin"),
-            ("diagram custom\n", 1, "requires a nodes clause"),
-            ("diagram A5\nnodes 1 2\n", 2, "only valid after"),
-            ("diagram custom\nnodes 1 1\n", 2, "duplicate node labels"),
-            ("diagram custom\nnodes 1 2\nedge 1 9 3\n", 3, "unknown node 9"),
-            ("diagram custom\nnodes 1 2\nedge 1 2 1\n", 3, ">= 2"),
-            ("diagram custom\nnodes 1 2\nedge 1 2\n", 3, "edge expects"),
-            ("diagram A5\ngamma (1 2\n", 2, "cycles in parentheses"),
-            ("diagram A5\ngamma (1 9)\n", 2, "not in domain"),
-            ("diagram A5\ngamma (1 1)\n", 2, "1 occurs twice"),
-            ("diagram A5\ngamma (1 3)(3 1)\n", 2, "3 occurs twice"),
-            ("diagram A5\nanisotropic x\n", 2, "expects integers"),
-            ("diagram A5\nanisotropic 9\n", 2, ""),
-            ("", 1, "empty specification"),
+            ("frobnicate 1\n", 1, 1, "expected a diagram clause first, got 'frobnicate'"),
+            ("diagram A5\nfrobnicate\n", 2, 1, "unknown key 'frobnicate'"),
+            ("diagram A5\ndiagram A5\n", 2, 1, "duplicate diagram clause"),
+            ("diagram A5 A6\n", 1, 1, "diagram expects exactly one name"),
+            ("diagram Q9\n", 1, 1, "unrecognized builtin diagram name 'Q9'"),
+            ("diagram custom\n", 1, 1, "diagram custom requires a nodes clause"),
+            ("diagram A5\nnodes 1 2\n", 2, 1,
+             "nodes clause is only valid after 'diagram custom'"),
+            ("diagram A5\nedge 1 2 3\n", 2, 1,
+             "edge clause is only valid after 'diagram custom'"),
+            ("diagram custom\nnodes 1 2\nnodes 3\n", 3, 1, "duplicate nodes clause"),
+            ("diagram A5\nanisotropic 1\nanisotropic 2\n", 3, 1,
+             "duplicate anisotropic clause"),
+            ("diagram custom\nnodes\n", 2, 1, "nodes expects at least one label"),
+            ("diagram A5\nanisotropic\n", 2, 1, "anisotropic expects at least one label"),
+            ("diagram custom\nnodes 1 1\n", 2, 1, "duplicate node labels"),
+            ("diagram custom\nnodes 1 2\nedge 1 9 3\n", 3, 1, "edge references unknown node 9"),
+            ("diagram custom\nnodes 1 2\nedge 1 2 1\n", 3, 1, "edge label must be >= 2, got 1"),
+            ("diagram custom\nnodes 1 2\nedge 1 2\n", 3, 1, "edge expects: edge <i> <j> <m>"),
+            ("diagram A5\ngamma (1 2\n", 2, 7,
+             "gamma expects disjoint cycles in parentheses, got '(1'"),
+            ("diagram A5\ngamma (1 9)\n", 2, 1, "cycle entry 9 not in domain"),
+            ("diagram A5\ngamma (1 1)\n", 2, 7, "gamma expects disjoint cycles, 1 occurs twice"),
+            ("diagram A5\ngamma (1 3)(3 1)\n", 2, 12,
+             "gamma expects disjoint cycles, 3 occurs twice"),
+            ("diagram A5\nanisotropic x\n", 2, 13, "anisotropic expects integers, got 'x'"),
+            ("diagram A5\nanisotropic 9\n", 2, 1, "anisotropic node 9 is not in the diagram"),
+            ("", 1, 1, "empty specification: no diagram clause"),
         ],
     )
-    def test_positions(self, text, line, fragment):
+    def test_positions(self, text, line, col, message):
         with pytest.raises(ParseError) as exc:
             parse_spec(text)
-        assert exc.value.line == line
-        assert fragment in str(exc.value)
+        assert (exc.value.line, exc.value.col) == (line, col)
+        assert str(exc.value) == f"line {line}, col {col}: {message}"
 
     def test_column_points_into_line(self):
         with pytest.raises(ParseError) as exc:
