@@ -10,21 +10,23 @@ generator of Gamma, then walks Gamma's one orbit partition
 check of the generators, and every whole-diagram type is read from the
 one classification that new_diagram made. enumerate_indices calls no
 validate at all: its search checks the opposition clause of each
-isotropic orbit itself and prunes on the first failure, and it folds
+isotropic orbit itself and prunes on the first failure, walking the open
+components again only after a decision that can close one, and it folds
 (M, Gamma) once for all of its kernels, and only if some kernel is valid.
 
 An isotropic orbit O's opposition clause and its angle depend only on O's
 rank-one piece: O and the anisotropic nodes joined to it through A, which
-are the components of A u O that meet O. validate and minimal_angle_report
-read each clause and each angle on that piece (_rank_one_piece), and the
-search of enumerate_indices forms the same piece as its C, so no pass
-restricts to the whole anisotropic set once per orbit. Pieces and
-candidate components are classified in place (diagram._classify_induced),
-with no restricted copy: validate and the search read an orbit's clause
-from the resulting component types through one helper (_opposed), and
-the angle is read from them too (_type_angle). The diagram keeps each
-type it finds under its node set, so a piece whose clause was read is not
-classified again for its angle, nor under another kernel in the search.
+are the components of A u O that meet O. validate reads each clause on that
+piece (_rank_one_piece), and the search of enumerate_indices forms the same
+piece as its C, so no pass restricts to the whole anisotropic set once per
+orbit. Angles take one path: _orbit_angles reads each isotropic orbit's
+angle on its rank-one piece in the fold, for minimal_angle_report and for
+every row of enumerate_indices. Pieces and candidate components are
+classified in place (diagram._classify_induced), with no restricted copy:
+validate and the search read an orbit's clause from the resulting
+component types through one helper (_opposed), and the angle is read from
+them too (_type_angle). The diagram keeps each type it finds under its
+node set, so no node set is classified twice on one diagram.
 
 The angular distance at a node only depends on its connected component (the
 Weyl group acts componentwise and the fundamental weight lies in the
@@ -250,20 +252,26 @@ def _type_angle(ct: diag.ComponentType, i: int) -> Angle:
 def minimal_angle_report(t: TitsDiagram) -> tuple[Angle, list[tuple[int, ...]]]:
     """Minimal angle plus the isotropic orbits achieving it (tie diagnostics).
 
-    Folds by fold_tits, then takes the angular distance at each isotropic
-    orbit's node v of the fold on its rank-one piece: v and the nodes of the
-    folded A joined to it through the folded A (_rank_one_piece). The fold
-    labels each Gamma-orbit by its smallest member, so the angles are keyed
-    by Gamma's own orbits.
+    Folds by fold_tits, then reads each isotropic orbit's angle on the fold
+    (_orbit_angles).
     """
     folding, folded_a = fold_tits(t)
-    folded = folding.folded
-    angles = {o: _connected_angle(folded, _rank_one_piece(folded, folded_a, o[:1]), o[0])
-              for o in t.gamma._orbits if o[0] not in folded_a}
+    angles = _orbit_angles(folding.folded, folded_a, t.gamma._orbits)
     if not angles:
         raise ZeroRelativeRank("every node is anisotropic; the minimal angle is undefined")
     best = min(angles.values())
     return best, [o for o, angle in angles.items() if angle == best]
+
+
+def _orbit_angles(
+    folded: CoxeterDiagram, folded_a: frozenset[int], orbits: Iterable[tuple[int, ...]]
+) -> dict[tuple[int, ...], Angle]:
+    """The angle of each isotropic orbit o of Gamma, in orbit order: the
+    angular distance at o's node of the fold on its rank-one piece, that
+    node and the nodes of the folded A joined to it through the folded A
+    (_rank_one_piece). The fold labels each orbit by its smallest member."""
+    return {o: _connected_angle(folded, _rank_one_piece(folded, folded_a, o[:1]), o[0])
+            for o in orbits if o[0] not in folded_a}
 
 
 def _connected_angle(d: CoxeterDiagram, nodes: Iterable[int], v: int) -> Angle:
@@ -283,10 +291,6 @@ def admissibility(t: TitsDiagram) -> Verdict:
     return verdict_against_pi_over_3(minimal_angle(t))
 
 
-# (isotropic orbit O, the orbits of its component C in A u O), as orbit indices
-_Key = tuple[int, frozenset[int]]
-
-
 def enumerate_indices(
     d: CoxeterDiagram, g: AutGroup, rel_rank: Optional[int] = None
 ) -> list[tuple[TitsDiagram, Angle, Verdict]]:
@@ -302,14 +306,13 @@ def enumerate_indices(
     isotropic. The opposition clause of an isotropic orbit O depends only
     on C, the component of A u O that meets O, so it is checked as soon as
     every orbit next to C is decided, and a failing clause prunes the
-    branch; rel_rank prunes once it cannot be met. O's angular distance
-    is read in the folded diagram on the image of C. Each diagram keeps the
-    type of every node set it classifies, so a C met again, under another
-    O or kernel, is not classified again. The fold of (d, g) does not depend
-    on A; it is computed once, and only if some kernel is valid.
-    Angles are computed kernel by kernel, fewest anisotropic orbits first,
-    so a non-crystallographic component raises at the same kernel as a
-    plain loop over the candidates would.
+    branch; rel_rank prunes once it cannot be met. The search returns the
+    kernels only. The fold of (d, g) does not depend on A; it is computed
+    once, and only if some kernel is valid, and each row's angle is read on
+    it by _orbit_angles, the one path of minimal_angle_report. Angles are
+    computed kernel by kernel, fewest anisotropic orbits first, and orbit by
+    orbit within a kernel, so a non-crystallographic component raises at
+    the same kernel and orbit as a plain loop over the candidates would.
     """
     orbits = diag.orbits(d, g)
     if rel_rank is not None and not 0 < rel_rank <= len(orbits):
@@ -318,12 +321,11 @@ def enumerate_indices(
     kernels = _search_kernels(d, orbits, rel_rank)
     if not kernels:
         return []
-    # the fold labels each orbit by its smallest member, orbits[p][0]
     folded = _fold(d, g).folded
     results = []
-    for in_a, keys in sorted(kernels, key=lambda k: (len(k[0]), k[0])):
-        angle = min(_connected_angle(folded, [orbits[p][0] for p in comp], orbits[o][0])
-                    for o, comp in keys)
+    for in_a in sorted(kernels, key=lambda k: (len(k), k)):
+        folded_a = frozenset(orbits[p][0] for p in in_a)
+        angle = min(_orbit_angles(folded, folded_a, orbits).values())
         kernel = frozenset(i for p in in_a for i in orbits[p])
         results.append((TitsDiagram(d, g, kernel), angle, verdict_against_pi_over_3(angle)))
     results.sort(key=lambda row: tuple(sorted(row[0].anisotropic)))
@@ -332,33 +334,33 @@ def enumerate_indices(
 
 def _search_kernels(
     d: CoxeterDiagram, orbits: tuple[tuple[int, ...], ...], rel_rank: Optional[int]
-) -> list[tuple[tuple[int, ...], list[_Key]]]:
-    """Valid kernels of enumerate_indices, as the indices of their orbits in
-    A and the keys (O, C) of their isotropic orbits O in orbit order; see
-    there.
+) -> list[tuple[int, ...]]:
+    """Valid kernels of enumerate_indices, each as the sorted indices of
+    its orbits in A; see there.
 
-    C is a set of orbit indices: O and the orbits of A joined to it through
-    A. Orbits are decided in breadth-first order over the orbit graph,
-    from an orbit with the fewest neighbours (an end of a path), so that
-    each component closes soon whatever the node labels. The search
-    keeps an explicit stack, so its depth is not bounded by Python's
-    recursion limit.
+    C is a set of orbit indices: an isotropic orbit O and the orbits of A
+    joined to it through A. Orbits are decided in breadth-first order over
+    the orbit graph, from an orbit with the fewest neighbours (an end of a
+    path), so that each C closes soon whatever the node labels. A C closes
+    when no orbit next to it is undecided, and only two decisions can make
+    that happen: an isotropic orbit, or an orbit of A with no undecided
+    neighbour. The open Cs are walked again only after one of those, so a
+    run of orbits of A along a path costs no walk. The search keeps an
+    explicit stack, so its depth is not bounded by Python's recursion limit.
     """
     index = {i: p for p, orbit in enumerate(orbits) for i in orbit}
     adjacent = [
         sorted({index[j] for i in orbit for j in d.neighbors(i)} - {p})
         for p, orbit in enumerate(orbits)
     ]
-    order: list[int] = []
+    step: dict[int, int] = {}  # each orbit's place in the search order
     for start in sorted(range(len(orbits)), key=lambda p: len(adjacent[p])):
-        if start in order:
-            continue
-        k = len(order)
-        order.append(start)
-        while k < len(order):
-            order += [q for q in adjacent[order[k]] if q not in order]
-            k += 1
-    step = {p: k for k, p in enumerate(order)}
+        queue = [start]
+        for p in queue:  # breadth first: the queue grows as it is read
+            if p not in step:
+                step[p] = len(step)
+                queue += adjacent[p]
+    order = list(step)
 
     def component(o: int, in_a: tuple[bool, ...]) -> Optional[frozenset[int]]:
         """C for the isotropic orbit o, or None while an orbit next to it is
@@ -378,30 +380,25 @@ def _search_kernels(
         return _opposed(d, piece, orbits[o]) == frozenset(orbits[o])
 
     found = []
-    # (decisions so far, isotropic orbits whose C is still open, keys of the closed ones)
-    stack: list[tuple[tuple[bool, ...], tuple[int, ...], tuple]] = [((), (), ())]
+    # (decisions so far, isotropic orbits whose C is still open)
+    stack: list[tuple[tuple[bool, ...], tuple[int, ...]]] = [((), ())]
     while stack:
-        in_a, open_, keys = stack.pop()
-        still_open = []
-        for o in open_:
-            comp = component(o, in_a)
-            if comp is None:
-                still_open.append(o)
-            elif holds(o, comp):
-                keys += ((o, comp),)
-            else:
-                break
-        else:
-            depth, isotropic = len(in_a), in_a.count(False)
-            if depth == len(orbits):
-                if isotropic:
-                    kernel = tuple(sorted(order[k] for k, a in enumerate(in_a) if a))
-                    found.append((kernel, sorted(keys)))
+        in_a, open_ = stack.pop()
+        depth = len(in_a)
+        if depth and (not in_a[-1] or all(step[q] < depth for q in adjacent[order[depth - 1]])):
+            comps = [(o, component(o, in_a)) for o in open_]
+            if not all(comp is None or holds(o, comp) for o, comp in comps):
                 continue
-            if rel_rank is None or depth - isotropic < len(orbits) - rel_rank:
-                stack.append((in_a + (True,), tuple(still_open), keys))
-            if rel_rank is None or isotropic < rel_rank:
-                stack.append((in_a + (False,), (*still_open, order[depth]), keys))
+            open_ = tuple(o for o, comp in comps if comp is None)
+        isotropic = in_a.count(False)
+        if depth == len(orbits):
+            if isotropic:
+                found.append(tuple(sorted(order[k] for k, a in enumerate(in_a) if a)))
+            continue
+        if rel_rank is None or depth - isotropic < len(orbits) - rel_rank:
+            stack.append((in_a + (True,), open_))
+        if rel_rank is None or isotropic < rel_rank:
+            stack.append((in_a + (False,), (*open_, order[depth])))
     return found
 
 

@@ -327,11 +327,15 @@ def diagram_automorphisms(d: CoxeterDiagram) -> AutGroup:
 
     Extends the partial maps that keep m_ij on the first k nodes to the
     first k + 1, node by node: k! of them on A1^k, but the tests' diagrams
-    are small.
+    are small. A node maps only to a node with the same sorted incident
+    bond labels, which drops no map that completes; without that filter,
+    the unjoined nodes that lead a relabelled sum multiply the partial maps.
     """
     nodes, maps = d.nodes, [()]
+    bonds = {i: sorted(d.m(i, j) for j in d.neighbors(i)) for i in nodes}
     for i in nodes:
         maps = [images + (c,) for images in maps for c in nodes if c not in images
+                and bonds[c] == bonds[i]
                 and all(d.m(i, j) == d.m(c, img) for j, img in zip(nodes, images))]
     perms = (Permutation.from_dict(dict(zip(nodes, images))) for images in maps)
     return AutGroup(nodes, tuple(p for p in perms if not p.is_identity))

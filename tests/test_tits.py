@@ -575,6 +575,24 @@ class TestEnumerateSearch:
         )
         assert [tuple(sorted(t.anisotropic)) for t, _, _ in rows] == want
 
+    @pytest.mark.parametrize("n", [*range(2, 11), 200, 201])
+    @pytest.mark.parametrize("flip", [False, True], ids=["trivial", "quasi-split"])
+    def test_type_a_rel_rank_one(self, n, flip):
+        # one isotropic orbit O, whose rank-one piece is all of A_n: the
+        # opposition i -> n + 1 - i keeps every orbit {i, n + 1 - i} of the
+        # flip, and of the single nodes only the middle one of odd n
+        d = builtin(f"A{n}")
+        if flip:
+            g = helpers.gen_group(d, [(i, n + 1 - i) for i in range(1, n // 2 + 1)])
+            want = [tuple(sorted({i, n + 1 - i})) for i in range(1, (n + 1) // 2 + 1)]
+        else:
+            g = AutGroup.trivial(d.nodes)
+            want = [((n + 1) // 2,)] * (n % 2)
+        rows = enumerate_indices(d, g, 1)
+        assert sorted(tuple(sorted(set(d.nodes) - t.anisotropic)) for t, _, _ in rows) == want
+        if n <= 10:
+            assert rows == helpers.brute_enumerate(d, g, 1)
+
     @pytest.mark.parametrize("k", range(1, 11))
     def test_every_kernel_of_a1_power(self, k):
         d = builtin("+".join(["A1"] * k))
