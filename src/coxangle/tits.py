@@ -11,8 +11,10 @@ check of the generators, and every whole-diagram type is read from the
 one classification that new_diagram made. enumerate_indices calls no
 validate at all: its search checks the opposition clause of each
 isotropic orbit itself and prunes on the first failure, walking the open
-components again only after a decision that can close one, and it folds
-(M, Gamma) once for all of its kernels, and only if some kernel is valid.
+components again only after a decision that can close one. It holds its
+decisions in one list that each search state cuts back to its own depth,
+so no state copies or recounts them. enumerate_indices folds (M, Gamma)
+once for all of its kernels, and only if some kernel is valid.
 
 An isotropic orbit O's opposition clause and its angle depend only on O's
 rank-one piece: O and the anisotropic nodes joined to it through A, which
@@ -338,15 +340,23 @@ def _search_kernels(
     """Valid kernels of enumerate_indices, each as the sorted indices of
     its orbits in A; see there.
 
-    C is a set of orbit indices: an isotropic orbit O and the orbits of A
-    joined to it through A. Orbits are decided in breadth-first order over
-    the orbit graph, from an orbit with the fewest neighbours (an end of a
-    path), so that each C closes soon whatever the node labels. A C closes
-    when no orbit next to it is undecided, and only two decisions can make
-    that happen: an isotropic orbit, or an orbit of A with no undecided
+    Orbits are decided in breadth-first order over the orbit graph, from an
+    orbit with the fewest neighbours (an end of a path), so that each C
+    closes soon whatever the node labels, and the search numbers them by
+    their place in that order. C is a set of those numbers: an isotropic
+    orbit O and the orbits of A joined to it through A. A C closes when no
+    orbit next to it is undecided, and only two decisions can make that
+    happen: an isotropic orbit, or an orbit of A with no undecided
     neighbour. The open Cs are walked again only after one of those, so a
-    run of orbits of A along a path costs no walk. The search keeps an
-    explicit stack, so its depth is not bounded by Python's recursion limit.
+    run of orbits of A along a path costs no walk. A != I prunes as rel_rank
+    does: no branch puts more than len(orbits) - rel_rank orbits into A,
+    or len(orbits) - 1 when rel_rank is None.
+
+    The search keeps an explicit stack, so its depth is not bounded by
+    Python's recursion limit. The decisions live in one list, in_a: a
+    popped state cuts it back to the decisions of its ancestors and appends
+    its own. Each state carries its count of isotropic orbits as an int, so
+    no state copies or recounts the decisions made before it.
     """
     index = {i: p for p, orbit in enumerate(orbits) for i in orbit}
     adjacent = [
@@ -360,45 +370,46 @@ def _search_kernels(
             if p not in step:
                 step[p] = len(step)
                 queue += adjacent[p]
-    order = list(step)
+    ordered = [orbits[p] for p in step]  # orbits and adjacent, renumbered
+    near = [[step[q] for q in adjacent[p]] for p in step]
+    in_a: list[bool] = []  # the decisions so far, in search order
 
-    def component(o: int, in_a: tuple[bool, ...]) -> Optional[frozenset[int]]:
+    def component(o: int) -> Optional[set[int]]:
         """C for the isotropic orbit o, or None while an orbit next to it is
-        undecided; in_a holds the decisions in search order."""
+        undecided."""
         seen, stack = {o}, [o]
         while stack:
-            for q in adjacent[stack.pop()]:
-                if step[q] >= len(in_a):
+            for q in near[stack.pop()]:
+                if q >= len(in_a):
                     return None
-                if in_a[step[q]] and q not in seen:
+                if in_a[q] and q not in seen:
                     seen.add(q)
                     stack.append(q)
-        return frozenset(seen)
+        return seen
 
-    def holds(o: int, comp: frozenset[int]) -> bool:
-        piece = [i for p in comp for i in orbits[p]]
-        return _opposed(d, piece, orbits[o]) == frozenset(orbits[o])
+    def holds(o: int, comp: set[int]) -> bool:
+        return _opposed(d, [i for p in comp for i in ordered[p]], ordered[o]) == set(ordered[o])
 
     found = []
-    # (decisions so far, isotropic orbits whose C is still open)
-    stack: list[tuple[tuple[bool, ...], tuple[int, ...]]] = [((), ())]
+    # (depth, the decision made there, isotropic orbits among the decisions,
+    # isotropic orbits whose C is still open)
+    stack: list[tuple[int, bool, int, tuple[int, ...]]] = [(0, False, 0, ())]
     while stack:
-        in_a, open_ = stack.pop()
-        depth = len(in_a)
-        if depth and (not in_a[-1] or all(step[q] < depth for q in adjacent[order[depth - 1]])):
-            comps = [(o, component(o, in_a)) for o in open_]
-            if not all(comp is None or holds(o, comp) for o, comp in comps):
-                continue
-            open_ = tuple(o for o, comp in comps if comp is None)
-        isotropic = in_a.count(False)
+        depth, decision, isotropic, open_ = stack.pop()
+        if depth:
+            in_a[depth - 1:] = [decision]  # cut back to the ancestors' decisions
+            if not decision or all(q < depth for q in near[depth - 1]):
+                comps = [(o, component(o)) for o in open_]
+                if not all(comp is None or holds(o, comp) for o, comp in comps):
+                    continue
+                open_ = tuple(o for o, comp in comps if comp is None)
         if depth == len(orbits):
-            if isotropic:
-                found.append(tuple(sorted(order[k] for k, a in enumerate(in_a) if a)))
+            found.append(tuple(sorted(p for p, a in zip(step, in_a) if a)))
             continue
-        if rel_rank is None or depth - isotropic < len(orbits) - rel_rank:
-            stack.append((in_a + (True,), open_))
+        if depth - isotropic < len(orbits) - (rel_rank or 1):
+            stack.append((depth + 1, True, isotropic, open_))
         if rel_rank is None or isotropic < rel_rank:
-            stack.append((in_a + (False,), (*open_, order[depth])))
+            stack.append((depth + 1, False, isotropic + 1, (*open_, depth)))
     return found
 
 

@@ -1001,17 +1001,30 @@ def _assert_angle_cells(cells: list[str], doc: dict) -> None:
     assert float(radians) == doc["radians_approx"]
 
 
-def _assert_text_agrees(command: str, path: str, code: int, doc: dict) -> None:
-    """command on path in table and CSV format exits with the JSON run's
-    code, and its cells carry the exact values of the JSON document doc."""
+def _assert_text_agrees(argv: list[str], code: int, doc: dict) -> None:
+    """The command line argv in table and CSV format exits with the JSON
+    run's code, and its cells carry the exact values of the JSON document
+    doc."""
+    command = argv[0]
     for fmt in ("table", "csv"):
-        got_code, out, err = _run_format(fmt, command, path)
+        got_code, out, err = _run_format(fmt, *argv)
         assert got_code == code, fmt
         if code != EXIT_OK:
             assert (out, err) == ("", f"error: {doc['error']['message']}\n"), fmt
             continue
         _, *rows = _cells(fmt, out)
-        if command == "min-angle":
+        if command == "angle":
+            (cells,) = rows
+            _assert_angle_cells(cells, doc)
+        elif command == "opposition":
+            ((cycles, mapping),) = rows
+            assert cycles == doc["opposition"]
+            assert dict(pair.split("->") for pair in mapping.split()) \
+                == {k: str(v) for k, v in doc["mapping"].items()}
+        elif command == "orbit":
+            (cells,) = rows
+            assert cells == [str(v) for v in doc.values()]
+        elif command == "min-angle":
             ((*angle, verdict, achieved),) = rows
             _assert_angle_cells(angle, doc["angle"])
             assert verdict == doc["verdict"]
@@ -1036,14 +1049,18 @@ def _assert_text_agrees(command: str, path: str, code: int, doc: dict) -> None:
 
 
 class TestCommandsAgree:
-    """validate, min-angle, fold and enumerate on one random Tits spec
-    answer consistently with each other and with the spec itself, and
-    min-angle, fold and enumerate carry the same values in every format."""
+    """validate, min-angle, fold, enumerate, and angle, opposition and orbit
+    at a drawn node, on one random Tits spec, answer consistently with each
+    other and with the spec itself, and every command but validate carries
+    the same values in every format. No exception escapes run, and every
+    exit code is 0, 1, 2 or 3 (_run_format)."""
 
     @settings(deadline=10_000, max_examples=60)
-    @given(case=tits_specs())
-    def test_commands_agree(self, tmp_path_factory, case):
+    @given(case=tits_specs(), data=st.data())
+    def test_commands_agree(self, tmp_path_factory, case, data):
         text, orbits, aniso = case
+        nodes = sorted(i for orbit in orbits for i in orbit)
+        node = data.draw(st.sampled_from(nodes), label="node")
         path = tmp_path_factory.mktemp("spec") / "input.spec"
         path.write_text(text)
         path = str(path)
@@ -1067,6 +1084,31 @@ class TestCommandsAgree:
             (row,) = [e for e in listing["entries"] if e["anisotropic"] == sorted(aniso)]
             assert row["angle"] == angle["angle"]
 
-        _assert_text_agrees("min-angle", path, code, angle)
-        _assert_text_agrees("fold", path, fold_code, folded)
-        _assert_text_agrees("enumerate", path, enum_code, listing)
+        _assert_text_agrees(["min-angle", path], code, angle)
+        _assert_text_agrees(["fold", path], fold_code, folded)
+        _assert_text_agrees(["enumerate", path], enum_code, listing)
+
+        # angle, opposition and orbit read a valid spec only; angle and
+        # orbit refuse a node of a non-crystallographic component, except
+        # that angle answers on I2(m)
+        at_node = ["--node", str(node)]
+        outcomes = {}
+        for command, extra in (("angle", at_node), ("opposition", []), ("orbit", at_node)):
+            argv = [command, path, *extra]
+            outcomes[command] = _run_json(*argv)
+            got_code, doc = outcomes[command]
+            if not report["ok"]:
+                assert (got_code, doc["error"]["code"]) == (EXIT_DOMAIN, "InvalidTitsDiagram")
+            elif got_code != EXIT_OK:
+                assert command != "opposition"
+                assert (got_code, doc["error"]["code"]) == (EXIT_DOMAIN, "NonCrystallographic")
+            _assert_text_agrees(argv, got_code, doc)
+        (angle_code, _), (opp_code, opposition), (orbit_code, orbit) = outcomes.values()
+        if orbit_code == EXIT_OK:
+            assert angle_code == EXIT_OK
+            assert orbit["node"] == node
+            assert orbit["group_order"] % orbit["orbit_size"] == 0
+        if opp_code == EXIT_OK:
+            mapping = {int(k): v for k, v in opposition["mapping"].items()}
+            assert sorted(mapping) == sorted(mapping.values()) == nodes
+            assert all(mapping[mapping[i]] == i for i in mapping)

@@ -626,13 +626,30 @@ def _geometric_angle(d, orbits, kernel: frozenset, orbit: tuple) -> Angle:
     return Angle.exact_cos(max(dot(v, x) for x in points if x != v) / dot(v, v))
 
 
-@pytest.mark.parametrize("name", ["A2", "A3", "A4", "A5", "A6", "D4", "D5", "E6"])
-def test_enumerate_angles_match_geometry(name):
+def _geometry_cases() -> list:
+    """(diagram, groups): connected builtins under every group of _groups;
+    sums with a swap of isomorphic components or a symmetric summand under
+    the trivial and the full group, and, under the full group, with two
+    random relabellings, as the fold tests take them."""
+    cases = [pytest.param(builtin(name), _groups(builtin(name)), id=name)
+             for name in ["A2", "A3", "A4", "A5", "A6", "D4", "D5", "E6"]]
+    rng = random.Random(20)
+    for name in ["A2+A2", "A3+A3", "D4+A2", "G2+A3"]:
+        d = builtin(name)
+        cases.append(pytest.param(
+            d, [AutGroup.trivial(d.nodes), helpers.diagram_automorphisms(d)], id=name))
+        for k in range(2):
+            d = helpers.relabeled(builtin(name), rng)
+            cases.append(pytest.param(d, [helpers.diagram_automorphisms(d)],
+                                      id=f"{name}-relabelled-{k}"))
+    return cases
+
+
+@pytest.mark.parametrize("d,groups", _geometry_cases())
+def test_enumerate_angles_match_geometry(d, groups):
     """Each enumerate row's minimal angle is the smallest geometric angle
-    of its isotropic orbits, under the trivial group, each cyclic subgroup
-    of the automorphism group, and the full group."""
-    d = builtin(name)
-    for g in _groups(d):
+    of its isotropic orbits, under each group of groups."""
+    for g in groups:
         orbits = _element_orbits(d, g)
         for t, angle, _ in enumerate_indices(d, g):
             want = min(_geometric_angle(d, orbits, t.anisotropic, o)
