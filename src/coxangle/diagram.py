@@ -23,9 +23,18 @@ opposition or crystallographic check. A diagram also keeps the type of
 each connected node set it classifies (CoxeterDiagram._component_types,
 keyed by the sorted nodes), whole components included, so a rank-one
 piece, candidate component, orbit or stabilizer met again by any layer
-is not classified again. A group keeps its orbit partition
-(AutGroup._orbits), which depends only on its generators and domain;
-orbits checks the generators against the diagram and then reads it.
+is not classified again; a connected node set met again is read from
+that record before any filtering or walk. A group keeps its orbit
+partition (AutGroup._orbits), which depends only on its generators and
+domain; orbits checks the generators against the diagram and then reads
+it.
+
+ComponentType is the one home of the Bourbaki data of a finite type: the
+canonical numbering (canonical, position_of, label_at), the degrees, the
+opposition involution (opposite) and the diagonal of the inverse Cartan
+matrix (diagonal). weyl and tits read a canonical position only through
+it; geometry's realization, kept as an independent oracle, builds its
+roots from the numbering alone.
 """
 
 from __future__ import annotations
@@ -33,6 +42,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
@@ -233,6 +243,16 @@ _EXCEPTIONAL_DEGREES = {
     "H4": (2, 12, 20, 30),
 }
 
+# (A^-1)_pp of the exceptional types by canonical position p (Bourbaki,
+# Lie Groups ch. VI, plates V-IX; G2 is plate IX)
+_EXCEPTIONAL_DIAGONAL = {
+    "E6": (Fraction(4, 3), 2, Fraction(10, 3), 6, Fraction(10, 3), Fraction(4, 3)),
+    "E7": (2, Fraction(7, 2), 6, 12, Fraction(15, 2), 4, Fraction(3, 2)),
+    "E8": (4, 8, 14, 30, 20, 12, 6, 2),
+    "F4": (2, 6, 6, 2),
+    "G2": (2, 2),
+}
+
 
 @dataclass(frozen=True)
 class ComponentType:
@@ -254,11 +274,11 @@ class ComponentType:
             return f"I2({self.m})"
         return f"{self.family}{self.rank}"
 
-    @property
+    @cached_property
     def position_of(self) -> dict[int, int]:
         return dict(self.canonical)
 
-    @property
+    @cached_property
     def label_at(self) -> dict[int, int]:
         return {pos: lab for lab, pos in self.canonical}
 
@@ -281,6 +301,39 @@ class ComponentType:
         if self.family == "I2":
             return (2, self.m)
         return _EXCEPTIONAL_DEGREES[self.name]
+
+    def opposite(self, label: int) -> int:
+        """sigma(label), the opposition involution with w_0(alpha_i) =
+        -alpha_sigma(i), read in canonical positions.
+
+        A_n reverses the path, D_n with n odd swaps the fork, E_6 is
+        (1 6)(3 5), I_2(m) with m odd swaps its two nodes; every other type
+        (B, C, D_n with n even, E_7, E_8, F_4, G_2, H, even I_2) has w_0 = -1
+        and sigma is the identity (Bourbaki, Lie Groups ch. VI, plates I-IX).
+        """
+        n, p = self.rank, self.position_of[label]
+        q = p
+        if self.family == "A" or (self.family == "I2" and self.m % 2):
+            q = n + 1 - p
+        elif self.family == "D" and n % 2 and p >= n - 1:
+            q = 2 * n - 1 - p
+        elif self.name == "E6":
+            q = {1: 6, 6: 1, 3: 5, 5: 3}.get(p, p)
+        return label if q == p else self.label_at[q]
+
+    def diagonal(self, label: int) -> Fraction:
+        """(A^-1)_pp, the diagonal entry of the inverse Cartan matrix at the
+        canonical position p of label, for a crystallographic type
+        (Bourbaki, Lie Groups ch. VI, plates I-IX). B_n and C_n share it.
+        """
+        n, p = self.rank, self.position_of[label]
+        if self.family == "A":
+            return Fraction(p * (n + 1 - p), n + 1)
+        if self.family == "B":
+            return Fraction(p) if p < n else Fraction(n, 2)
+        if self.family == "D":
+            return Fraction(p) if p <= n - 2 else Fraction(n, 4)
+        return Fraction(_EXCEPTIONAL_DIAGONAL[self.name][p - 1])
 
 
 def new_diagram(nodes: Iterable[int], entries: Iterable[tuple[int, int, int]]) -> CoxeterDiagram:
@@ -542,13 +595,16 @@ def _classify_induced(
     d and its nodes, since the filtered adjacency restricted to a component
     is d's adjacency on it, so the type is kept in d._component_types under
     the sorted nodes, and a later call that meets the same node set reads it.
+    A keep that is itself a kept node set is read before any filtering or
+    walk.
     """
-    adjacency = d._adjacency
+    adjacency, kept = d._adjacency, d._component_types
     if keep is not None:
         keep = set(keep)
+        if (nodes := tuple(sorted(keep))) in kept:
+            return (kept[nodes],)
         adjacency = {i: tuple(j for j in adjacency[i] if j in keep) for i in keep}
     parts = _partition(adjacency, adjacency.__getitem__)
-    kept = d._component_types
     for c in parts:
         if c not in kept:
             kept[c] = _classify_component(d, adjacency, c)

@@ -36,10 +36,11 @@ component's root span), so everything reduces to a classified component and
 a canonical node position. At every crystallographic rank the nearest
 other vertex of the orbit of omega_i is s_i omega_i, so cos = 1 - 1/(A^-1)_pp
 with p the canonical position of i; the diagonal of the inverse Cartan
-matrix is read from a type table, and nothing is realized. The one formula
-gives pi at A1, 2pi/3 at A2, pi/2 at B2 and pi/3 at G2. I2(m) has no
-rational realization; its orbit of omega_i is a regular m-gon, so it gives
-2pi/m.
+matrix is read from the component's type (diagram.ComponentType.diagonal),
+as the opposition is (ComponentType.opposite), and nothing is realized.
+The one formula gives pi at A1, 2pi/3 at A2, pi/2 at B2 and pi/3 at G2.
+I2(m) has no rational realization; its orbit of omega_i is a regular
+m-gon, so it gives 2pi/m.
 """
 
 from __future__ import annotations
@@ -197,58 +198,34 @@ def rank_one_subdiagrams(t: TitsDiagram) -> list[TitsDiagram]:
     return out
 
 
-# (A^-1)_pp of the exceptional types by canonical position p (Bourbaki,
-# Lie Groups ch. VI, plates V-IX; G2 is plate IX)
-_EXCEPTIONAL_DIAGONAL = {
-    ("E", 6): (Fraction(4, 3), 2, Fraction(10, 3), 6, Fraction(10, 3), Fraction(4, 3)),
-    ("E", 7): (2, Fraction(7, 2), 6, 12, Fraction(15, 2), 4, Fraction(3, 2)),
-    ("E", 8): (4, 8, 14, 30, 20, 12, 6, 2),
-    ("F", 4): (2, 6, 6, 2),
-    ("G", 2): (2, 2),
-}
-
-
-def _closed_form_cos(family: str, n: int, p: int) -> Fraction:
-    """Best cosine between omega_p and another vertex of its Weyl orbit.
-
-    That vertex is s_p omega_p (Humphreys, Reflection Groups and Coxeter
-    Groups, 1.12), so cos = 1 - (alpha_p, alpha_p) / (2 (omega_p, omega_p))
-    and, as (omega_p, omega_p) = (A^-1)_pp (alpha_p, alpha_p) / 2, the
-    cosine is 1 - 1/(A^-1)_pp. B_n and C_n give the same value. This holds
-    at every rank, 1 and 2 included: A1 gives cos -1, A2 -1/2, B2 0 and G2
-    1/2, which Angle keeps as pi, 2pi/3, pi/2 and pi/3.
-    """
-    if family == "A":
-        diagonal = Fraction(p * (n + 1 - p), n + 1)
-    elif family == "B":
-        diagonal = Fraction(p) if p < n else Fraction(n, 2)
-    elif family == "D":
-        diagonal = Fraction(p) if p <= n - 2 else Fraction(n, 4)
-    else:
-        diagonal = Fraction(_EXCEPTIONAL_DIAGONAL[family, n][p - 1])
-    return 1 - 1 / diagonal
-
-
 def angular_distance(d: CoxeterDiagram, i: int) -> Angle:
     """Minimal angle between distinct vertices of type i on the sphere.
 
     Reduces to the connected component of i. A crystallographic component
     of any rank gives arccos(1 - 1/(A^-1)_pp) at the canonical position p
-    of i (see _closed_form_cos), I2(m) gives 2pi/m, and H3 and H4 are
-    refused.
+    of i (see _type_angle), I2(m) gives 2pi/m, and H3 and H4 are refused.
     """
     return _type_angle(diag.component_type(d, i), i)
 
 
 def _type_angle(ct: diag.ComponentType, i: int) -> Angle:
-    """angular_distance at node i of a component of type ct."""
+    """angular_distance at node i of a component of type ct.
+
+    On a crystallographic type the nearest other vertex of the orbit of
+    omega_p is s_p omega_p (Humphreys, Reflection Groups and Coxeter
+    Groups, 1.12), so cos = 1 - (alpha_p, alpha_p) / (2 (omega_p, omega_p))
+    and, as (omega_p, omega_p) = (A^-1)_pp (alpha_p, alpha_p) / 2, the
+    cosine is 1 - 1/(A^-1)_pp (ComponentType.diagonal). This holds at every
+    rank, 1 and 2 included: A1 gives cos -1, A2 -1/2, B2 0 and G2 1/2,
+    which Angle keeps as pi, 2pi/3, pi/2 and pi/3.
+    """
     if ct.family == "I2":
         return Angle.rational_pi(2, ct.m)
     if not ct.crystallographic:
         raise NonCrystallographic(
             f"no rational realization for a component of type {ct.name}"
         )
-    return Angle.exact_cos(_closed_form_cos(ct.family, ct.rank, ct.position_of[i]))
+    return Angle.exact_cos(1 - 1 / ct.diagonal(i))
 
 
 def minimal_angle_report(t: TitsDiagram) -> tuple[Angle, list[tuple[int, ...]]]:

@@ -2,13 +2,14 @@
 longest elements, the opposition involution, and element orders.
 
 No CLI request enumerates anything here. The opposition involution is
-read from the component-type table, and orbit_size, which the `orbit`
-command calls, is the index |W|/|W_J| of the fundamental weight's
-stabilizer, read off the degrees of the node's component and of the rest
-of it. It reads the component from the diagram's one classification, so
-an orbit request classifies only the whole diagram and the stabilizer's
-nodes. Longest elements, element orders and orbit enumeration serve the
-test oracles (the fold's w_J generators among them).
+read from each component's type (diagram.ComponentType.opposite), and
+orbit_size, which the `orbit` command calls, is the index |W|/|W_J| of the
+fundamental weight's stabilizer, read off the degrees of the node's
+component and of the rest of it. It reads the component from the
+diagram's one classification, so an orbit request classifies only the
+whole diagram and the stabilizer's nodes. Longest elements, element
+orders and orbit enumeration serve the test oracles (the fold's w_J
+generators among them).
 
 weyl_orbit enumerates W*v by one walk (_walk) in fundamental-weight
 coordinates with integer Cartan entries: it starts from the dominant
@@ -278,42 +279,16 @@ def element_order(g: OrthogonalElement, cap: int = 1000) -> int:
     raise OrderBudgetExceeded(f"element order exceeds the cap of {cap}")
 
 
-def _component_opposition(ct: diag.ComponentType) -> dict[int, int]:
-    """sigma on one component, read from its type in canonical positions.
-
-    A_n reverses the path, D_n with n odd swaps the fork, E_6 is
-    (1 6)(3 5), I_2(m) with m odd swaps its two nodes; every other type
-    (B, C, D_n with n even, E_7, E_8, F_4, G_2, H, even I_2) has w_0 = -1
-    and sigma is the identity (Bourbaki, Lie Groups ch. VI, plates I-IX).
-    """
-    n = ct.rank
-    if ct.family == "A" or (ct.family == "I2" and ct.m % 2):
-        positions = {k: n + 1 - k for k in range(1, n + 1)}
-    elif ct.family == "D" and n % 2:
-        positions = {n - 1: n, n: n - 1}
-    elif ct.family == "E" and n == 6:
-        positions = {1: 6, 6: 1, 3: 5, 5: 3}
-    else:
-        positions = {}
-    label_at = ct.label_at
-    return {
-        lab: label_at[positions.get(pos, pos)] for lab, pos in ct.canonical
-    }
-
-
 def opposition(d: CoxeterDiagram) -> Permutation:
     """The involution sigma with w_0(alpha_i) = -alpha_sigma(i), componentwise.
 
     sigma depends only on the component type, so it is read from the type
-    table (see _component_opposition); nothing is realized. The test suite
-    checks the table against the realized longest element.
+    (ComponentType.opposite); nothing is realized. The test suite checks
+    the type against the realized longest element.
     """
     return Permutation.from_dict(_opposition_map(diag.classify(d)))
 
 
 def _opposition_map(types: Iterable[diag.ComponentType]) -> dict[int, int]:
     """sigma on the components of the given types, as a label map."""
-    mapping: dict[int, int] = {}
-    for ct in types:
-        mapping.update(_component_opposition(ct))
-    return mapping
+    return {label: ct.opposite(label) for ct in types for label, _ in ct.canonical}

@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import coxangle.diagram as diagram_mod
 import helpers
 from coxangle import weyl
 from coxangle.diagram import (
@@ -261,6 +262,17 @@ def test_classify_induced_matches_restricted_copy(name):
             assert types == classify(sub), keep
             sigma = Permutation.from_dict(weyl._opposition_map(types))
             assert sigma == weyl.opposition(sub), keep
+
+
+def test_classify_induced_reads_a_kept_node_set_without_a_walk(monkeypatch):
+    # the second call on one connected node set partitions nothing
+    d = builtin("E8")
+    first = _classify_induced(d, [2, 3, 4, 5, 6])
+    calls = []
+    monkeypatch.setattr(diagram_mod, "_partition",
+                        lambda *args: calls.append(args) or _partition(*args))
+    assert _classify_induced(d, [6, 5, 4, 3, 2]) == first
+    assert calls == []
 
 
 def _generator_sets(d):

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 
 import helpers
-from coxangle.diagram import builtin, new_diagram
+from coxangle.diagram import builtin, component_type, new_diagram
 from coxangle.errors import DimensionMismatch, NonCrystallographic, UnknownNode
 from coxangle.geometry import (
     as_vector,
@@ -62,6 +63,19 @@ class TestRealize:
             for j in d.nodes:
                 got = dot(r.fundamental_weights[i], r.coroots[j])
                 assert got == (1 if i == j else 0)
+
+    @pytest.mark.parametrize("seed,name", enumerate(
+        [f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+        + [f"D{n}" for n in range(4, 9)] + ["E6", "E7", "E8", "F4", "G2", "B3+G2"]))
+    def test_weight_norms_match_type_diagonal(self, seed, name):
+        # (omega_i, omega_i) = (A^-1)_pp (alpha_i, alpha_i) / 2 at the
+        # canonical position p of i, on a relabelled copy
+        d = helpers.relabeled(builtin(name), random.Random(seed))
+        r = realize(d)
+        for i in d.nodes:
+            alpha, omega = r.simple_roots[i], r.fundamental_weights[i]
+            want = 2 * dot(omega, omega) / dot(alpha, alpha)
+            assert component_type(d, i).diagonal(i) == want, i
 
     def test_coroot_normalization(self):
         r = realize(builtin("B3"))

@@ -16,6 +16,7 @@ from coxangle.diagram import (
     AutGroup,
     Permutation,
     builtin,
+    classify,
     component_of,
     new_diagram,
     restrict,
@@ -666,6 +667,46 @@ def test_catalog_angles_match_geometry(entry):
     want = min(_geometric_angle(t.diagram, orbits, t.anisotropic, o)
                for o in orbits if not t.anisotropic.issuperset(o))
     assert entry.expected == want
+
+
+# Exceptional indices X^t_{n,r} from Tits, Classification of algebraic
+# semisimple groups (Boulder, 1966), Table II, in Bourbaki numbering: the
+# label, the type, the cycles of each generator of Gamma, A, and the
+# minimal angle. r is the number of isotropic Gamma-orbits, and t the
+# dimension of the anisotropic kernel, n - r + 2N(A).
+TITS_TABLE_II = [
+    ("G2-0-2,2", "G2", [], (), PI),
+    ("F4-0-4,4", "F4", [], (), PI),
+    ("F4-21-4,1", "F4", [], (1, 2, 3), PI_OVER_3),
+    ("3D4-2-4,2", "D4", [[(1, 3, 4)]], (), PI),
+    ("3D4-9-4,1", "D4", [[(1, 3, 4)]], (1, 3, 4), PI_OVER_3),
+    ("6D4-2-4,2", "D4", [[(1, 3, 4)], [(1, 3)]], (), PI),
+    ("6D4-9-4,1", "D4", [[(1, 3, 4)], [(1, 3)]], (1, 3, 4), PI_OVER_3),
+    ("2E6-2-6,4", "E6", [[(1, 6), (3, 5)]], (), PI),
+    ("E8-28-8,4", "E8", [], (2, 3, 4, 5), PI_OVER_2),
+]
+
+
+@pytest.mark.parametrize("label,name,gens,aniso,angle", TITS_TABLE_II,
+                         ids=[row[0] for row in TITS_TABLE_II])
+def test_tits_table_ii(label, name, gens, aniso, angle):
+    """Each index of the table validates, passes both checksums of its
+    label, is a row of enumerate_indices, and has the minimal angle that
+    geometry gives."""
+    t_label, n_r = label.split("-")[1:]
+    n, r = map(int, n_r.split(","))
+    d = builtin(name)
+    g = AutGroup.generated_by([Permutation.from_cycles(c, d.nodes) for c in gens], d.nodes)
+    index = TitsDiagram(d, g, frozenset(aniso))
+    assert validate(index).ok
+    positive_roots = sum(k - 1 for ct in classify(restrict(d, aniso)) for k in ct.degrees)
+    assert (d.rank, relative_rank(index)) == (n, r)
+    assert n - r + 2 * positive_roots == int(t_label)
+    assert index.anisotropic in {row.anisotropic for row, _, _ in enumerate_indices(d, g)}
+    orbits = _element_orbits(d, g)
+    want = min(_geometric_angle(d, orbits, index.anisotropic, o)
+               for o in orbits if not index.anisotropic.issuperset(o))
+    assert minimal_angle(index) == want == angle
 
 
 class TestCatalog:
