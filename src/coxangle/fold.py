@@ -75,7 +75,7 @@ def fold(d: CoxeterDiagram, g: AutGroup) -> FoldResult:
 def _fold(d: CoxeterDiagram, g: AutGroup) -> FoldResult:
     """fold, for a g whose generators are already checked against d."""
     orbits = g._orbits
-    node_map = {i: min(orbit) for orbit in orbits for i in orbit}
+    node_map = {i: orbit[0] for orbit in orbits for i in orbit}  # orbits are sorted
     if g.is_trivial:
         return FoldResult(d, node_map)
     if not (d.rank == 2 and len(orbits) == 1) and not all(
@@ -85,7 +85,7 @@ def _fold(d: CoxeterDiagram, g: AutGroup) -> FoldResult:
             "folding with nontrivial symmetry needs a crystallographic diagram "
             "(or a single rank-2 diagram)"
         )
-    members = {min(orbit): orbit for orbit in orbits}
+    members = {orbit[0]: orbit for orbit in orbits}
     count = {a: _positive_roots(d, orbit) for a, orbit in members.items()}
     joined = {tuple(sorted((node_map[i], node_map[j]))) for i, j, _ in d.edges}
     entries = [

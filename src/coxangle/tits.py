@@ -18,17 +18,18 @@ once for all of its kernels, and only if some kernel is valid.
 
 An isotropic orbit O's opposition clause and its angle depend only on O's
 rank-one piece: O and the anisotropic nodes joined to it through A, which
-are the components of A u O that meet O. validate reads each clause on that
-piece (_rank_one_piece), and the search of enumerate_indices forms the same
-piece as its C, so no pass restricts to the whole anisotropic set once per
-orbit. Angles take one path: _orbit_angles reads each isotropic orbit's
-angle on its rank-one piece in the fold, for minimal_angle_report and for
-every row of enumerate_indices. Pieces and candidate components are
+are the components of A u O that meet O. validate and minimal_angle_report
+form each piece once (_rank_one_piece). The search of enumerate_indices
+forms the same piece as its C to check the clause, and returns each C it
+closed with its kernel, so every row reads its angles on the pieces the
+search formed and forms none again. Pieces and candidate components are
 classified in place (diagram._classify_induced), with no restricted copy:
 validate and the search read an orbit's clause from the resulting
-component types through one helper (_opposed), and the angle is read from
-them too (_type_angle). The diagram keeps each type it finds under its
-node set, so no node set is classified twice on one diagram.
+component types through one helper (_opposed), which reads sigma at the
+orbit's own labels only, and the angle is read from them too
+(_connected_angle, _type_angle). diagram.ComponentType is the one source
+of sigma and of the angle's table. The diagram keeps each type it finds
+under its node set, so no node set is classified twice on one diagram.
 
 The angular distance at a node only depends on its connected component (the
 Weyl group acts componentwise and the fundamental weight lies in the
@@ -50,7 +51,6 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from . import diagram as diag
-from . import weyl
 from .fold import _fold, fold_tits
 from .angle import PI, Angle, Verdict, verdict_against_pi_over_3
 from .diagram import AutGroup, CoxeterDiagram
@@ -164,9 +164,17 @@ def _rank_one_piece(d: CoxeterDiagram, aniso: frozenset[int], orbit) -> set[int]
 def _opposed(d: CoxeterDiagram, piece: Iterable[int], orbit) -> frozenset[int]:
     """The image of orbit under the opposition of the subdiagram of d
     induced on piece, classified in place: the orbit's opposition clause
-    holds when the image is the orbit itself."""
-    sigma = weyl._opposition_map(diag._classify_induced(d, piece))
-    return frozenset(sigma[i] for i in orbit)
+    holds when the image is the orbit itself.
+
+    sigma is read at the orbit's labels only, each from the type of the
+    component that holds it. A set meets a component's labels in the
+    smaller of the two sizes, so this costs O(|orbit|) on a one-component
+    piece and stays linear in the piece when the orbit spans many
+    components.
+    """
+    labels = set(orbit)
+    return frozenset(ct.opposite(i) for ct in diag._classify_induced(d, piece)
+                     for i in labels & ct.position_of.keys())
 
 
 def ensure_valid(t: TitsDiagram) -> None:
@@ -231,26 +239,19 @@ def _type_angle(ct: diag.ComponentType, i: int) -> Angle:
 def minimal_angle_report(t: TitsDiagram) -> tuple[Angle, list[tuple[int, ...]]]:
     """Minimal angle plus the isotropic orbits achieving it (tie diagnostics).
 
-    Folds by fold_tits, then reads each isotropic orbit's angle on the fold
-    (_orbit_angles).
+    Folds by fold_tits, then reads each isotropic orbit's angle on the
+    fold, in orbit order: the angular distance at the orbit's node (its
+    smallest member) on its rank-one piece, that node and the nodes of the
+    folded A joined to it through the folded A (_rank_one_piece).
     """
     folding, folded_a = fold_tits(t)
-    angles = _orbit_angles(folding.folded, folded_a, t.gamma._orbits)
+    folded = folding.folded
+    angles = {o: _connected_angle(folded, _rank_one_piece(folded, folded_a, o[:1]), o[0])
+              for o in t.gamma._orbits if o[0] not in folded_a}
     if not angles:
         raise ZeroRelativeRank("every node is anisotropic; the minimal angle is undefined")
     best = min(angles.values())
     return best, [o for o, angle in angles.items() if angle == best]
-
-
-def _orbit_angles(
-    folded: CoxeterDiagram, folded_a: frozenset[int], orbits: Iterable[tuple[int, ...]]
-) -> dict[tuple[int, ...], Angle]:
-    """The angle of each isotropic orbit o of Gamma, in orbit order: the
-    angular distance at o's node of the fold on its rank-one piece, that
-    node and the nodes of the folded A joined to it through the folded A
-    (_rank_one_piece). The fold labels each orbit by its smallest member."""
-    return {o: _connected_angle(folded, _rank_one_piece(folded, folded_a, o[:1]), o[0])
-            for o in orbits if o[0] not in folded_a}
 
 
 def _connected_angle(d: CoxeterDiagram, nodes: Iterable[int], v: int) -> Angle:
@@ -285,13 +286,17 @@ def enumerate_indices(
     isotropic. The opposition clause of an isotropic orbit O depends only
     on C, the component of A u O that meets O, so it is checked as soon as
     every orbit next to C is decided, and a failing clause prunes the
-    branch; rel_rank prunes once it cannot be met. The search returns the
-    kernels only. The fold of (d, g) does not depend on A; it is computed
-    once, and only if some kernel is valid, and each row's angle is read on
-    it by _orbit_angles, the one path of minimal_angle_report. Angles are
-    computed kernel by kernel, fewest anisotropic orbits first, and orbit by
-    orbit within a kernel, so a non-crystallographic component raises at
-    the same kernel and orbit as a plain loop over the candidates would.
+    branch; rel_rank prunes once it cannot be met. The search returns each
+    kernel with the Cs it closed, one per isotropic orbit, in fold labels.
+    The fold of (d, g) does not depend on A; it is computed once, and only
+    if some kernel is valid. A C in fold labels is the orbit's rank-one
+    piece in the fold, since two orbits are joined in the fold exactly when
+    an edge of d joins them, so each row's angle is the least angular
+    distance at an orbit's node on its C, and no row forms a piece again.
+    Angles are computed kernel by kernel, fewest anisotropic orbits first,
+    and orbit by orbit within a kernel, so a non-crystallographic component
+    raises at the same kernel and orbit as a plain loop over the candidates
+    would.
     """
     orbits = diag.orbits(d, g)
     if rel_rank is not None and not 0 < rel_rank <= len(orbits):
@@ -302,9 +307,8 @@ def enumerate_indices(
         return []
     folded = _fold(d, g).folded
     results = []
-    for in_a in sorted(kernels, key=lambda k: (len(k), k)):
-        folded_a = frozenset(orbits[p][0] for p in in_a)
-        angle = min(_orbit_angles(folded, folded_a, orbits).values())
+    for in_a, closed in sorted(kernels, key=lambda row: (len(row[0]), row[0])):
+        angle = min(_connected_angle(folded, piece, node) for node, piece in closed)
         kernel = frozenset(i for p in in_a for i in orbits[p])
         results.append((TitsDiagram(d, g, kernel), angle, verdict_against_pi_over_3(angle)))
     results.sort(key=lambda row: tuple(sorted(row[0].anisotropic)))
@@ -313,9 +317,12 @@ def enumerate_indices(
 
 def _search_kernels(
     d: CoxeterDiagram, orbits: tuple[tuple[int, ...], ...], rel_rank: Optional[int]
-) -> list[tuple[int, ...]]:
+) -> list[tuple[tuple[int, ...], list[tuple[int, tuple[int, ...]]]]]:
     """Valid kernels of enumerate_indices, each as the sorted indices of
-    its orbits in A; see there.
+    its orbits in A, with the Cs it closed; see there. A closing is an
+    isotropic orbit's fold node and its C, both in fold labels (the
+    smallest member of each orbit), and a kernel's closings are in orbit
+    order.
 
     Orbits are decided in breadth-first order over the orbit graph, from an
     orbit with the fewest neighbours (an end of a path), so that each C
@@ -333,7 +340,10 @@ def _search_kernels(
     Python's recursion limit. The decisions live in one list, in_a: a
     popped state cuts it back to the decisions of its ancestors and appends
     its own. Each state carries its count of isotropic orbits as an int, so
-    no state copies or recounts the decisions made before it.
+    no state copies or recounts the decisions made before it. The closings
+    live in one list too: each isotropic orbit that a state's ancestors
+    decided is either open or closed, so the state cuts the list back to
+    its count of isotropic orbits less its open ones.
     """
     index = {i: p for p, orbit in enumerate(orbits) for i in orbit}
     adjacent = [
@@ -350,6 +360,7 @@ def _search_kernels(
     ordered = [orbits[p] for p in step]  # orbits and adjacent, renumbered
     near = [[step[q] for q in adjacent[p]] for p in step]
     in_a: list[bool] = []  # the decisions so far, in search order
+    closed: list[tuple[int, tuple[int, ...]]] = []  # the closings so far
 
     def component(o: int) -> Optional[set[int]]:
         """C for the isotropic orbit o, or None while an orbit next to it is
@@ -375,13 +386,16 @@ def _search_kernels(
         depth, decision, isotropic, open_ = stack.pop()
         if depth:
             in_a[depth - 1:] = [decision]  # cut back to the ancestors' decisions
+            del closed[isotropic - len(open_):]  # and to their closings
             if not decision or all(q < depth for q in near[depth - 1]):
                 comps = [(o, component(o)) for o in open_]
-                if not all(comp is None or holds(o, comp) for o, comp in comps):
+                shut = [(o, comp) for o, comp in comps if comp is not None]
+                if not all(holds(o, comp) for o, comp in shut):
                     continue
                 open_ = tuple(o for o, comp in comps if comp is None)
+                closed += [(ordered[o][0], tuple(ordered[p][0] for p in comp)) for o, comp in shut]
         if depth == len(orbits):
-            found.append(tuple(sorted(p for p, a in zip(step, in_a) if a)))
+            found.append((tuple(sorted(p for p, a in zip(step, in_a) if a)), sorted(closed)))
             continue
         if depth - isotropic < len(orbits) - (rel_rank or 1):
             stack.append((depth + 1, True, isotropic, open_))

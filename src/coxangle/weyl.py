@@ -283,12 +283,11 @@ def opposition(d: CoxeterDiagram) -> Permutation:
     """The involution sigma with w_0(alpha_i) = -alpha_sigma(i), componentwise.
 
     sigma depends only on the component type, so it is read from the type
-    (ComponentType.opposite); nothing is realized. The test suite checks
-    the type against the realized longest element.
+    of each component in d's one classification (ComponentType.opposite);
+    nothing is realized. The test suite checks the type against the
+    realized longest element. tits reads sigma from the types too, at an
+    orbit's labels only (tits._opposed).
     """
-    return Permutation.from_dict(_opposition_map(diag.classify(d)))
-
-
-def _opposition_map(types: Iterable[diag.ComponentType]) -> dict[int, int]:
-    """sigma on the components of the given types, as a label map."""
-    return {label: ct.opposite(label) for ct in types for label, _ in ct.canonical}
+    return Permutation.from_dict(
+        {label: ct.opposite(label) for ct in diag.classify(d) for label, _ in ct.canonical}
+    )

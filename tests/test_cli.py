@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 import coxangle.cli as cli
 import coxangle.diagram as diag
+import coxangle.errors as errors_mod
 import coxangle.tits as tits_mod
 import coxangle.weyl as weyl_mod
 import helpers
@@ -26,6 +27,7 @@ from coxangle.angle import Angle
 from coxangle.cli import EXIT_CATALOG, EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, run
 from coxangle.errors import NotAnAutomorphism
 from coxangle.weyl import DEFAULT_ORBIT_BUDGET, ORBIT_BUDGET_ENV, orbit_budget
+from test_acceptance import ANGLE_SCHEMA, ERROR_SCHEMA, MIN_ANGLE_SCHEMA, jsonschema
 from test_diagram import sums_with_gamma
 
 A7_SPEC = "diagram A7\nanisotropic 1 3 5 7\n"
@@ -959,11 +961,58 @@ def _run_format(fmt: str, *argv: str) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def _exact_object(**properties) -> dict:
+    """Schema of a JSON object with exactly the given properties."""
+    return {"type": "object", "properties": properties, "required": list(properties),
+            "additionalProperties": False}
+
+
+_INTS = {"type": "array", "items": {"type": "integer"}}
+_INT_MAP = {"type": "object", "propertyNames": {"pattern": r"^\d+$"},
+            "additionalProperties": {"type": "integer"}}
+_DIAGRAM_SCHEMA = _exact_object(type={"type": "string"}, nodes=_INTS,
+                                edges={"type": "array", "items": _INTS})
+# the envelope of each command's JSON stdout, as the README gives it
+STDOUT_SCHEMAS = {
+    "validate": _exact_object(ok={"type": "boolean"}, violations={
+        "type": "array", "items": _exact_object(
+            clause={"enum": ["gamma-not-automorphism", "A-not-invariant",
+                             "opposition-violated"]},
+            orbit=_INTS, message={"type": "string"})}),
+    "angle": ANGLE_SCHEMA,
+    "min-angle": MIN_ANGLE_SCHEMA,
+    "fold": _exact_object(folded=_DIAGRAM_SCHEMA, node_map=_INT_MAP, anisotropic=_INTS),
+    "opposition": _exact_object(opposition={"type": "string"}, mapping=_INT_MAP),
+    "orbit": _exact_object(node={"type": "integer"}, component={"type": "string"},
+                           orbit_size={"type": "integer"}, group_order={"type": "integer"}),
+    "enumerate": _exact_object(diagram=_DIAGRAM_SCHEMA, note={"type": "string"}, entries={
+        "type": "array", "items": _exact_object(
+            anisotropic=_INTS, rel_rank={"type": "integer"}, angle=ANGLE_SCHEMA,
+            verdict=MIN_ANGLE_SCHEMA["properties"]["verdict"])}),
+    "catalog": _exact_object(ok={"type": "boolean"}, entries={
+        "type": "array", "items": _exact_object(
+            name={"type": "string"}, expected=ANGLE_SCHEMA, computed=ANGLE_SCHEMA,
+            ok={"type": "boolean"})}),
+}
+_VALIDATORS = {name: jsonschema.Draft202012Validator(schema)
+               for name, schema in [*STDOUT_SCHEMAS.items(), ("error", ERROR_SCHEMA)]}
+
+
 def _run_json(*argv: str):
     """Exit code and parsed JSON document of one command line run in
-    process: the payload on stdout, or the error document on stderr."""
+    process: the payload on stdout, which must match its command's schema,
+    or the error document on stderr, which must be one document whose code
+    names a CoxangleError subclass."""
     code, out, err = _run_format("json", *argv)
-    return code, json.loads(out or err)
+    if out:
+        assert err == ""
+        doc = json.loads(out)
+        _VALIDATORS[argv[0]].validate(doc)
+    else:
+        doc = json.loads(err)
+        _VALIDATORS["error"].validate(doc)
+        assert issubclass(getattr(errors_mod, doc["error"]["code"]), errors_mod.CoxangleError)
+    return code, doc
 
 
 def _cells(fmt: str, text: str) -> list[list[str]]:
@@ -983,20 +1032,25 @@ def _ints(cell: str) -> list[int]:
     return [] if cell == "-" else [int(x) for x in cell.split()]
 
 
+def _json_angle(doc: dict) -> Angle:
+    if doc["kind"] == "rational_pi":
+        return Angle("pi", Fraction(doc["pi_fraction"]))
+    return Angle.exact_cos(Fraction(doc["cos"]))
+
+
+def _text_angle(text: str) -> Angle:
+    if text.startswith("arccos("):
+        return Angle.exact_cos(Fraction(text[len("arccos("):-1]))
+    p, _, q = text.partition("pi")  # pi, pi/q or p*pi/q
+    return Angle.rational_pi(int(p.rstrip("*") or 1), int(q.lstrip("/") or 1))
+
+
 def _assert_angle_cells(cells: list[str], doc: dict) -> None:
     """The angle, cos and radians_approx cells carry the exact angle of the
     JSON angle document."""
     text, cos, radians = cells
-    if doc["kind"] == "rational_pi":
-        want = Angle("pi", Fraction(doc["pi_fraction"]))
-    else:
-        want = Angle.exact_cos(Fraction(doc["cos"]))
-    if text.startswith("arccos("):
-        got = Angle.exact_cos(Fraction(text[len("arccos("):-1]))
-    else:  # pi, pi/q or p*pi/q
-        p, _, q = text.partition("pi")
-        got = Angle.rational_pi(int(p.rstrip("*") or 1), int(q.lstrip("/") or 1))
-    assert got == want
+    want = _json_angle(doc)
+    assert _text_angle(text) == want
     assert (None if cos == "-" else Fraction(cos)) == want.cos_exact
     assert float(radians) == doc["radians_approx"]
 
@@ -1039,21 +1093,34 @@ def _assert_text_agrees(argv: list[str], code: int, doc: dict) -> None:
             assert {k: int(v) for k, v in (pair.split("->") for pair in node_map.split())} \
                 == doc["node_map"]
             assert _ints(aniso) == doc["anisotropic"]
-        else:
+        elif command == "enumerate":
             assert len(rows) == len(doc["entries"]), fmt
             for (aniso, rel, *angle, verdict), entry in zip(rows, doc["entries"]):
                 assert _ints(aniso) == entry["anisotropic"]
                 assert int(rel) == entry["rel_rank"]
                 _assert_angle_cells(angle, entry["angle"])
                 assert verdict == entry["verdict"]
+        else:  # catalog; the JSON has no type or anisotropic column
+            assert len(rows) == len(doc["entries"]), fmt
+            for (name, _, _, expected, computed, status), entry in zip(rows, doc["entries"]):
+                assert name == entry["name"]
+                assert _text_angle(expected) == _json_angle(entry["expected"])
+                assert _text_angle(computed) == _json_angle(entry["computed"])
+                assert status == ("PASS" if entry["ok"] else "FAIL")
 
 
 class TestCommandsAgree:
     """validate, min-angle, fold, enumerate, and angle, opposition and orbit
     at a drawn node, on one random Tits spec, answer consistently with each
     other and with the spec itself, and every command but validate carries
-    the same values in every format. No exception escapes run, and every
-    exit code is 0, 1, 2 or 3 (_run_format)."""
+    the same values in every format. No exception escapes run, every exit
+    code is 0, 1, 2 or 3 (_run_format), and every JSON document matches
+    the README's schema (_run_json). catalog answers the same way."""
+
+    def test_catalog_agrees(self):
+        code, doc = _run_json("catalog")
+        assert (code, doc["ok"], len(doc["entries"])) == (EXIT_OK, True, 17)
+        _assert_text_agrees(["catalog"], code, doc)
 
     @settings(deadline=10_000, max_examples=60)
     @given(case=tits_specs(), data=st.data())

@@ -260,7 +260,8 @@ def test_classify_induced_matches_restricted_copy(name):
             sub = restrict(d, keep)
             types = _classify_induced(d, keep)
             assert types == classify(sub), keep
-            sigma = Permutation.from_dict(weyl._opposition_map(types))
+            sigma = Permutation.from_dict(
+                {i: ct.opposite(i) for ct in types for i, _ in ct.canonical})
             assert sigma == weyl.opposition(sub), keep
 
 

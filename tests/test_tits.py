@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import coxangle.diagram as diagram_mod
+import coxangle.tits as tits_mod
 import coxangle.weyl as weyl_mod
 import helpers
 from coxangle.angle import PI, PI_OVER_2, PI_OVER_3, Angle, Verdict
@@ -125,6 +126,16 @@ class TestValidate:
         clauses = {v.orbit: v.clause for v in rep.violations}
         assert (1,) not in clauses  # isolated node survives
         assert (2,) in clauses  # {2}: restrict to A_5 sans 1, opposition moves it
+
+    def test_reads_sigma_at_the_orbit_only(self, monkeypatch):
+        # E8 with A = {2, ..., 7}: the pieces of the orbits {1} and {8}
+        # have seven nodes each, and sigma is read at 1 and at 8 alone
+        calls = []
+        opposite = diagram_mod.ComponentType.opposite
+        monkeypatch.setattr(diagram_mod.ComponentType, "opposite",
+                            lambda ct, label: calls.append(label) or opposite(ct, label))
+        assert validate(tits_diagram(builtin("E8"), anisotropic=range(2, 8))).ok
+        assert sorted(calls) == [1, 8]
 
 
 class TestRelativeRank:
@@ -593,6 +604,18 @@ class TestEnumerateSearch:
         assert sorted(tuple(sorted(set(d.nodes) - t.anisotropic)) for t, _, _ in rows) == want
         if n <= 10:
             assert rows == helpers.brute_enumerate(d, g, 1)
+
+    def test_rows_form_no_piece_again(self, monkeypatch):
+        # every row's angles are read on the Cs the search closed
+        calls = []
+        piece = tits_mod._rank_one_piece
+        monkeypatch.setattr(tits_mod, "_rank_one_piece",
+                            lambda *args: calls.append(args) or piece(*args))
+        for name, cycles in [("E6", [(1, 6), (3, 5)]), ("D4", [(1, 3, 4)]),
+                             ("B3+A2", []), ("A7", [])]:
+            d = builtin(name)
+            assert enumerate_indices(d, helpers.gen_group(d, cycles))
+        assert calls == []
 
     @pytest.mark.parametrize("k", range(1, 11))
     def test_every_kernel_of_a1_power(self, k):
