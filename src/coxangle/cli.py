@@ -5,8 +5,9 @@ computed by the library and only formatted here. Every request takes one
 path through `run`: parse the command line, load the input once as a
 TitsDiagram (a builtin or a plain diagram becomes quasi-split), call the
 command's handler, and emit its headers, rows and JSON payload in the
-chosen format. `_COMMANDS` is the one table of commands: dispatch, both
-argument parsers and the rule of which parses validate the spec read it.
+chosen format. `_COMMANDS` is the one table of commands: dispatch, each
+command's parser, the full parser built from those, and the rule of which
+parses validate the spec read it.
 
 `catalog` takes neither a spec file nor `--diagram`; every other command
 takes one of them. Every command accepts `--format` and `--orbit-budget`,
@@ -257,41 +258,52 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The argument parser, with every subparser or only `command`'s.
+def _add_options(parser: argparse.ArgumentParser, cmd: _Command) -> argparse.ArgumentParser:
+    for flags, kwargs in (*cmd.options, *_COMMON):
+        parser.add_argument(*flags, **kwargs)
+    return parser
 
-    Once the first argument names a command, argparse hands everything
-    after it to that command's subparser, and no other subparser can be
-    reached; building only that one saves most of the construction cost.
-    The narrowed parser spells out the full `{validate,...,catalog}`
-    metavar, so the top-level usage line it prints for unrecognized
-    arguments is the full parser's, byte for byte. The full parser keeps
-    the default metavar, because argparse names a subparsers action by
-    its metavar in the "invalid choice" and "required" errors, which only
-    the full parser can raise.
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full argument parser: one subparser per command.
+
+    `run` builds it only for a line that the named command's own parser
+    cannot take whole. A subparser is the parser `run` builds for its
+    command (`ArgumentParser(prog="coxangle <name>")` given the same
+    options by `_add_options`), so every help text and every error that
+    the command's parser raises is the full parser's, byte for byte.
     """
     parser = argparse.ArgumentParser(
         prog="coxangle",
         description="Exact minimal angles of spherical Tits diagrams.",
     )
-    sub = parser.add_subparsers(
-        dest="command", required=True,
-        metavar="{" + ",".join(_COMMANDS) + "}" if command else None,
-    )
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, cmd in _COMMANDS.items():
-        if command in (None, name):
-            p = sub.add_parser(name, help=cmd.help)
-            for flags, kwargs in (*cmd.options, *_COMMON):
-                p.add_argument(*flags, **kwargs)
+        _add_options(sub.add_parser(name, help=cmd.help), cmd)
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse a line with its command's own parser when the first argument
+    names a command. Arguments that parser leaves over are an error the
+    full parser reports with its top-level usage, so such a line, like one
+    with no command, an unknown one or an option first, is parsed again
+    by the full parser."""
+    cmd = _COMMANDS.get(argv[0]) if argv else None
+    if cmd is not None:
+        parser = _add_options(argparse.ArgumentParser(prog=f"coxangle {argv[0]}"), cmd)
+        ns, leftover = parser.parse_known_args(argv[1:])
+        if not leftover:
+            ns.command = argv[0]
+            return ns
+    return build_parser().parse_args(argv)
 
 
 def run(argv: Optional[list[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
-        ns = parser.parse_args(argv)
+        ns = _parse(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_PARSE
     cmd = _COMMANDS[ns.command]

@@ -309,7 +309,9 @@ def enumerate_indices(
     results = []
     for in_a, closed in sorted(kernels, key=lambda row: (len(row[0]), row[0])):
         angle = min(_connected_angle(folded, piece, node) for node, piece in closed)
-        kernel = frozenset(i for p in in_a for i in orbits[p])
+        # from a set, which CPython copies into a table sized once; one built
+        # from a generator grows by steps and can hold twice the table
+        kernel = frozenset({i for p in in_a for i in orbits[p]})
         results.append((TitsDiagram(d, g, kernel), angle, verdict_against_pi_over_3(angle)))
     results.sort(key=lambda row: tuple(sorted(row[0].anisotropic)))
     return results

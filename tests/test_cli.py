@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import csv
 import functools
@@ -507,48 +508,73 @@ class TestClosedPipe:
 
 # after each command: no options, help, then the parse errors argparse can
 # raise there (unknown option, bad int, bad choice, missing value, extra
-# positional)
+# positional), then lines the command's own parser cannot take whole or
+# reads through argparse's spellings (`=`, abbreviations, `--`, a repeat)
 PARSER_TAILS = [[], ["-h"], ["--bogus"], ["--node", "x"], ["--format", "xml"],
-                ["--format"], ["a", "b"]]
+                ["--format"], ["a", "b"], ["--node", "1", "--bogus"], ["--format=json"],
+                ["--form", "json"], ["--he"], ["--", "x"],
+                ["--format", "json", "--format", "csv"], ["--diagram", "B3", "a", "b"]]
 TOP_LEVEL_ARGVS = [[], ["-h"], ["bogus"], ["--format", "json"], ["--", "angle"]]
 DIFFERENTIAL_ARGVS = [
     *([command, *tail] for command in cli._COMMANDS for tail in PARSER_TAILS),
     *TOP_LEVEL_ARGVS,
 ]
+# lines the command's own parser settles alone (a parse, its help or an error
+# it raises itself), and lines it leaves arguments of
+OWN_PARSER_ARGVS = [["angle", "--diagram", "B3", "--node", "3"], ["catalog", "-h"],
+                     ["angle", "--node", "x"], ["enumerate", "--form=csv", "--diagram", "A3"]]
+LEFTOVER_ARGVS = [["angle", "--diagram", "B3", "--node", "3", "--bogus"], ["catalog", "x"],
+                  ["angle", "a", "b"], ["validate", "--", "a", "b"]]
+
+
+def full_parse(argv):
+    return cli.build_parser().parse_args(argv)
 
 
 class TestNarrowedParser:
-    """`run` builds only the named command's subparser; every command line
-    must behave exactly as under the full parser."""
+    """`run` parses a line whose first argument names a command with that
+    command's own parser, and falls back on the full parser for every other
+    line and for one with arguments left over; every command line must
+    behave exactly as under the full parser alone."""
 
     @pytest.mark.parametrize("columns", ["80", "200"])
     @pytest.mark.parametrize("argv", DIFFERENTIAL_ARGVS, ids=" ".join)
     def test_matches_full_parser(self, invoke, monkeypatch, argv, columns):
         monkeypatch.setenv("COLUMNS", columns)
         narrowed = invoke(*argv)
-        full_parser = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", lambda command=None: full_parser())
+        monkeypatch.setattr(cli, "_parse", full_parse)
         assert narrowed == invoke(*argv)
 
-    @pytest.mark.parametrize("argv, built", [
-        (["angle", "--diagram", "B3", "--node", "3"], "angle"),
-        (["catalog", "-h"], "catalog"),
-        (["--format", "json", "angle"], None),
-        (["-h"], None),
-        (["bogus"], None),
-        ([], None),
-    ], ids=["angle", "catalog-help", "option-first", "help", "unknown-command", "empty"])
-    def test_builds_only_the_named_command(self, invoke, monkeypatch, argv, built):
-        calls = []
-        build = cli.build_parser
+    @pytest.mark.parametrize("argv, full", [
+        *((argv, False) for argv in OWN_PARSER_ARGVS),
+        *((argv, True) for argv in (*TOP_LEVEL_ARGVS, *LEFTOVER_ARGVS)),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    def test_builds_only_the_named_command(self, invoke, monkeypatch, argv, full):
+        """A line the command's own parser settles builds that one
+        ArgumentParser and never the full parser; every other line builds
+        the full parser (its top level and one subparser per command) once,
+        after the command's own parser when the first argument names one."""
+        built, full_builds = [], []
+        build, init = cli.build_parser, argparse.ArgumentParser.__init__
 
-        def recording(command=None):
-            calls.append(command)
-            return build(command)
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
 
+        def recording():
+            full_builds.append(len(built))
+            return build()
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
         monkeypatch.setattr(cli, "build_parser", recording)
         invoke(*argv)
-        assert calls == [built]
+        full_parser = ["coxangle", *(f"coxangle {name}" for name in cli._COMMANDS)]
+        if not full:
+            assert (built, full_builds) == ([f"coxangle {argv[0]}"], [])
+        elif argv and argv[0] in cli._COMMANDS:
+            assert (built, full_builds) == ([f"coxangle {argv[0]}", *full_parser], [1])
+        else:
+            assert (built, full_builds) == (full_parser, [0])
 
     @pytest.mark.parametrize("argv, message", [
         ([], "error: the following arguments are required: command\n"),
@@ -560,13 +586,13 @@ class TestNarrowedParser:
         assert message in err
 
     @pytest.mark.parametrize("command", list(cli._COMMANDS))
-    def test_narrowed_parser_knows_only_its_command(self, capsys, command):
-        parser = cli.build_parser(command)
-        assert parser.parse_args([command]).command == command
-        for other in cli._COMMANDS.keys() - {command}:
-            with pytest.raises(SystemExit):
-                parser.parse_args([other])
-            assert "invalid choice" in capsys.readouterr().err
+    def test_namespace_matches_full_parser(self, command):
+        options = {"catalog": [], "angle": ["--node", "2"], "orbit": ["--node", "2"],
+                   "enumerate": ["spec", "--rel-rank", "1"]}.get(command, ["--diagram", "B3"])
+        for argv in ([command], [command, *options, "--format", "csv"]):
+            ns = cli._parse(argv)
+            assert ns.command == command
+            assert vars(ns) == vars(full_parse(argv))
 
     def test_reads_sys_argv_when_no_argv_given(self, monkeypatch, capsys):
         monkeypatch.setattr(sys, "argv", ["coxangle", "angle", "--diagram", "B3",

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import functools
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -616,6 +617,17 @@ class TestEnumerateSearch:
             d = builtin(name)
             assert enumerate_indices(d, helpers.gen_group(d, cycles))
         assert calls == []
+
+    def test_kernels_hold_no_spare_table(self):
+        # every row keeps its kernel; a frozenset grown from a generator can
+        # hold twice the table one of its size needs (98 nodes: 8,408
+        # against 4,312 bytes under CPython 3.11)
+        d = builtin("A100")
+        g = helpers.gen_group(d, [(i, 101 - i) for i in range(1, 51)])
+        rows = enumerate_indices(d, g, 1)
+        assert len(rows) == 50
+        for t, _, _ in rows:
+            assert sys.getsizeof(t.anisotropic) == sys.getsizeof(frozenset(set(t.anisotropic)))
 
     @pytest.mark.parametrize("k", range(1, 11))
     def test_every_kernel_of_a1_power(self, k):
