@@ -180,7 +180,8 @@ def _cmd_enumerate(t: TitsDiagram, ns):
     entries = []
     for index, a, v in results:
         aniso = sorted(index.anisotropic)
-        rel = sum(not index.anisotropic.issuperset(orbit) for orbit in orbits)
+        # a kernel is a union of orbits: it holds an orbit when it holds its first member
+        rel = sum(orbit[0] not in index.anisotropic for orbit in orbits)
         rows.append([" ".join(map(str, aniso)) or "-", str(rel), *_angle_cells(a), v.code])
         entries.append({"anisotropic": aniso, "rel_rank": rel, "angle": a.to_json(),
                         "verdict": v.code})

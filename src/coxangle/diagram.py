@@ -6,14 +6,17 @@ edges (i, j, m) with i < j and m >= 3; absent pairs mean m = 2. Labels are
 arbitrary positive integers so that restriction and folding can preserve the
 identity of surviving nodes.
 
-Components are classified in place: classify partitions the diagram once,
-and recognizes each component in one chain walk that reads degrees,
-neighbours and bond labels from the diagram itself, with no restricted
-copy. A subdiagram induced on a node set is classified the same way
-(_classify_induced), on the parent's adjacency filtered to the set, so the
-rank-one pieces of validate and min-angle, the candidate components of
-enumerate's search and the orbits and orbit pairs of fold are classified
-without a restricted copy either.
+This module is the one that knows how a node set is typed and what a type
+implies; every other module asks classify(d, nodes) and the ComponentType
+it returns. Components are classified in place: classify partitions the
+diagram once, and recognizes each component in one chain walk that reads
+degrees, neighbours and bond labels from the diagram itself, with no
+restricted copy. A subdiagram induced on a node set is classified the
+same way (classify(d, nodes)), on the parent's adjacency filtered to the
+set, so the rank-one pieces of validate and min-angle, the candidate
+components of enumerate's search, the orbits and orbit pairs of fold and
+the stabilizers of orbit are classified without a restricted copy
+either.
 
 Each derived fact is derived once per value and kept on it. A diagram
 keeps its classification (CoxeterDiagram._types), filled by the classify
@@ -31,24 +34,28 @@ it.
 
 ComponentType is the one home of the Bourbaki data of a finite type: the
 canonical numbering (canonical, position_of, label_at), the degrees, the
-opposition involution (opposite) and the diagonal of the inverse Cartan
-matrix (diagonal). weyl and tits read a canonical position only through
-it; geometry's realization, kept as an independent oracle, builds its
-roots from the numbering alone.
+opposition involution (opposite), the diagonal of the inverse Cartan
+matrix (diagonal) and the angular distance it gives (angle). weyl and
+tits read a canonical position only through it; geometry's realization,
+kept as an independent oracle, builds its roots from the numbering
+alone.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
+from .angle import Angle
 from .errors import (
     DuplicateLabel,
     InvalidEntry,
+    NonCrystallographic,
     NotAnAutomorphism,
     NotSpherical,
     RankOutOfRange,
@@ -101,12 +108,12 @@ class CoxeterDiagram:
     def _types(self) -> tuple[ComponentType, ...]:
         """Types of the components, ordered by smallest label: the one
         classification of this diagram, which classify reads."""
-        return _classify_induced(self)
+        return _classify_graph(self, self._adjacency)
 
     @cached_property
     def _component_types(self) -> dict[tuple[int, ...], ComponentType]:
         """Type of each connected node set classified so far, keyed by its
-        sorted nodes: _classify_induced reads it and fills it."""
+        sorted nodes: classify reads it and _classify_graph fills it."""
         return {}
 
     def __str__(self) -> str:
@@ -335,6 +342,27 @@ class ComponentType:
             return Fraction(p) if p <= n - 2 else Fraction(n, 4)
         return Fraction(_EXCEPTIONAL_DIAGONAL[self.name][p - 1])
 
+    def angle(self, label: int) -> Angle:
+        """The angular distance at label: the least angle between distinct
+        vertices of its type on the sphere of the component's reflection
+        representation (tits.angular_distance).
+
+        On a crystallographic type the nearest other vertex of the orbit of
+        omega_p is s_p omega_p (Humphreys, Reflection Groups and Coxeter
+        Groups, 1.12), so cos = 1 - (alpha_p, alpha_p) / (2 (omega_p, omega_p))
+        and, as (omega_p, omega_p) = (A^-1)_pp (alpha_p, alpha_p) / 2, the
+        cosine is 1 - 1/(A^-1)_pp (diagonal). This holds at every rank, 1
+        and 2 included: A1 gives cos -1, A2 -1/2, B2 0 and G2 1/2, which
+        Angle keeps as pi, 2pi/3, pi/2 and pi/3. I2(m) has no rational
+        realization; its orbit of omega_p is a regular m-gon, so it gives
+        2pi/m. H3 and H4 are refused.
+        """
+        if self.family == "I2":
+            return Angle.rational_pi(2, self.m)
+        if self.crystallographic:
+            return Angle.exact_cos(1 - 1 / self.diagonal(label))
+        raise NonCrystallographic(f"no rational realization for a component of type {self.name}")
+
 
 def new_diagram(nodes: Iterable[int], entries: Iterable[tuple[int, int, int]]) -> CoxeterDiagram:
     """Build and validate a spherical Coxeter diagram.
@@ -381,42 +409,42 @@ def _builtin_single(name: str) -> tuple[list[int], list[tuple[int, int, int]]]:
             raise RankOutOfRange(f"I2(m) needs m >= 2, got {m}")
         return [1, 2], ([(1, 2, m)] if m >= 3 else [])
     mo = _BUILTIN_RE.match(name)
-    if not mo:
+    if not mo or mo.group(1) == "I":
         raise UnknownType(f"unrecognized builtin diagram name {name!r}")
     fam, n = mo.group(1), int(mo.group(2))
+    if fam in "ABCD" and n > sys.maxsize:
+        # refused before any list of n nodes or edges is built, which could not hold them
+        raise RankOutOfRange(f"{fam}_n needs n <= {sys.maxsize}")
     if fam == "A":
         if n < 1:
             raise RankOutOfRange("A_n needs n >= 1")
-        return list(range(1, n + 1)), [(i, i + 1, 3) for i in range(1, n)]
-    if fam in ("B", "C"):
+        edges = [(i, i + 1, 3) for i in range(1, n)]
+    elif fam in ("B", "C"):
         if n < 2:
             raise RankOutOfRange("B_n/C_n needs n >= 2")
         edges = [(i, i + 1, 3) for i in range(1, n - 1)] + [(n - 1, n, 4)]
-        return list(range(1, n + 1)), edges
-    if fam == "D":
+    elif fam == "D":
         if n < 4:
             raise RankOutOfRange("D_n needs n >= 4")
         edges = [(i, i + 1, 3) for i in range(1, n - 2)] + [(n - 2, n - 1, 3), (n - 2, n, 3)]
-        return list(range(1, n + 1)), edges
-    if fam == "E":
+    elif fam == "E":
         if n not in (6, 7, 8):
             raise RankOutOfRange("E_n needs n in {6, 7, 8}")
         row = [1] + list(range(3, n + 1))
-        edges = [(row[k], row[k + 1], 3) for k in range(len(row) - 1)] + [(2, 4, 3)]
-        return list(range(1, n + 1)), sorted((min(a, b), max(a, b), m) for a, b, m in edges)
-    if fam == "F":
+        edges = sorted([(row[k], row[k + 1], 3) for k in range(len(row) - 1)] + [(2, 4, 3)])
+    elif fam == "F":
         if n != 4:
             raise RankOutOfRange("F_n exists only for n = 4")
-        return [1, 2, 3, 4], [(1, 2, 3), (2, 3, 4), (3, 4, 3)]
-    if fam == "G":
+        edges = [(1, 2, 3), (2, 3, 4), (3, 4, 3)]
+    elif fam == "G":
         if n != 2:
             raise RankOutOfRange("G_n exists only for n = 2")
-        return [1, 2], [(1, 2, 6)]
-    if fam == "H":
+        edges = [(1, 2, 6)]
+    else:  # H, the last letter the pattern admits
         if n not in (3, 4):
             raise RankOutOfRange("H_n needs n in {3, 4}")
-        return list(range(1, n + 1)), [(1, 2, 5)] + [(i, i + 1, 3) for i in range(2, n)]
-    raise UnknownType(f"unrecognized builtin diagram name {name!r}")
+        edges = [(1, 2, 5)] + [(i, i + 1, 3) for i in range(2, n)]
+    return list(range(1, n + 1)), edges
 
 
 def builtin(name: str) -> CoxeterDiagram:
@@ -581,29 +609,18 @@ def _classify_component(
     return ComponentType(family, n, tuple((lab, k + 1) for k, lab in enumerate(ordered)))
 
 
-def _classify_induced(
-    d: CoxeterDiagram, keep: Optional[Iterable[int]] = None
+def _classify_graph(
+    d: CoxeterDiagram, adjacency: dict[int, tuple[int, ...]]
 ) -> tuple[ComponentType, ...]:
-    """Types of the components of the subdiagram of d induced on keep
-    (nodes of d; all of d when None), ordered by smallest label.
-
-    The subdiagram is classified in place: d's adjacency, filtered to keep,
-    gives its components and their shapes, and d gives the bond labels, so
-    no restricted copy is built. The types equal classify(restrict(d, keep)).
+    """Types of the components of the graph given by adjacency, a subgraph
+    of d's on some of its nodes, ordered by smallest label.
 
     Each component is classified once per diagram. Its type depends only on
-    d and its nodes, since the filtered adjacency restricted to a component
-    is d's adjacency on it, so the type is kept in d._component_types under
-    the sorted nodes, and a later call that meets the same node set reads it.
-    A keep that is itself a kept node set is read before any filtering or
-    walk.
+    d and its nodes, since the graph restricted to a component is d's
+    adjacency on it, so the type is kept in d._component_types under the
+    sorted nodes, and a later call that meets the same node set reads it.
     """
-    adjacency, kept = d._adjacency, d._component_types
-    if keep is not None:
-        keep = set(keep)
-        if (nodes := tuple(sorted(keep))) in kept:
-            return (kept[nodes],)
-        adjacency = {i: tuple(j for j in adjacency[i] if j in keep) for i in keep}
+    kept = d._component_types
     parts = _partition(adjacency, adjacency.__getitem__)
     for c in parts:
         if c not in kept:
@@ -611,13 +628,27 @@ def _classify_induced(
     return tuple(kept[c] for c in parts)
 
 
-def classify(d: CoxeterDiagram) -> tuple[ComponentType, ...]:
-    """Recognized types of all components, ordered by smallest label.
+def classify(
+    d: CoxeterDiagram, nodes: Optional[Iterable[int]] = None
+) -> tuple[ComponentType, ...]:
+    """Recognized types of the components of the subdiagram of d induced on
+    nodes (nodes of d; all of d when None), ordered by smallest label.
 
-    d is classified once, in place, on first use (new_diagram does it to
-    check sphericity), and every later call reads that classification.
+    d itself is classified once, in place, on first use (new_diagram does
+    it to check sphericity), and every later call without nodes reads that
+    classification. A subdiagram is classified in place too: d's
+    adjacency, filtered to nodes, gives its components and their shapes,
+    and d gives the bond labels, so no restricted copy is built. The types
+    equal classify(restrict(d, nodes)). A node set that d keeps the type
+    of is read before any filtering or walk; a node not in d raises
+    UnknownNode.
     """
-    return d._types
+    if nodes is None:
+        return d._types
+    keep = set(nodes)
+    if (key := tuple(sorted(keep))) in d._component_types:
+        return (d._component_types[key],)
+    return _classify_graph(d, {i: tuple(j for j in d.neighbors(i) if j in keep) for i in keep})
 
 
 def component_type(d: CoxeterDiagram, i: int) -> ComponentType:

@@ -17,7 +17,7 @@ them commute (m = 2). N is the sum of d_i - 1 over the degrees d_i of
 each component (ComponentType.degrees), so reducible diagrams and
 component-swapping groups need no special case and nothing is realized.
 Each orbit and each joined orbit pair is classified in place
-(diagram._classify_induced), with no restricted copy.
+(diagram.classify(d, nodes)), with no restricted copy.
 
 Nothing is derived twice. The orbits are g's own partition
 (AutGroup._orbits) and the crystallographic check reads d's one
@@ -58,7 +58,7 @@ def _positive_roots(d: CoxeterDiagram, nodes: Optional[Iterable[int]] = None) ->
     """N(X) for the subdiagram X of d induced on nodes (all of d when None):
     the sum of d_i - 1 over the degrees d_i of its components, classified
     in place."""
-    return sum(k - 1 for ct in diag._classify_induced(d, nodes) for k in ct.degrees)
+    return sum(k - 1 for ct in diag.classify(d, nodes) for k in ct.degrees)
 
 
 def fold(d: CoxeterDiagram, g: AutGroup) -> FoldResult:

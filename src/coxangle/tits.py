@@ -23,25 +23,25 @@ form each piece once (_rank_one_piece). The search of enumerate_indices
 forms the same piece as its C to check the clause, and returns each C it
 closed with its kernel, so every row reads its angles on the pieces the
 search formed and forms none again. Pieces and candidate components are
-classified in place (diagram._classify_induced), with no restricted copy:
+classified in place (diagram.classify(d, nodes)), with no restricted copy:
 validate and the search read an orbit's clause from the resulting
 component types through one helper (_opposed), which reads sigma at the
 orbit's own labels only, and the angle is read from them too
-(_connected_angle, _type_angle). diagram.ComponentType is the one source
-of sigma and of the angle's table. The diagram keeps each type it finds
-under its node set, so no node set is classified twice on one diagram.
+(ComponentType.angle). diagram.ComponentType is the one source of sigma
+and of the angle. The diagram keeps each type it finds under its node
+set, so no node set is classified twice on one diagram.
 
 The angular distance at a node only depends on its connected component (the
 Weyl group acts componentwise and the fundamental weight lies in the
 component's root span), so everything reduces to a classified component and
 a canonical node position. At every crystallographic rank the nearest
 other vertex of the orbit of omega_i is s_i omega_i, so cos = 1 - 1/(A^-1)_pp
-with p the canonical position of i; the diagonal of the inverse Cartan
-matrix is read from the component's type (diagram.ComponentType.diagonal),
-as the opposition is (ComponentType.opposite), and nothing is realized.
-The one formula gives pi at A1, 2pi/3 at A2, pi/2 at B2 and pi/3 at G2.
-I2(m) has no rational realization; its orbit of omega_i is a regular
-m-gon, so it gives 2pi/m.
+with p the canonical position of i. The component's type reads it off
+the diagonal of the inverse Cartan matrix (diagram.ComponentType.angle),
+as it reads the opposition (ComponentType.opposite), and nothing is
+realized. The one formula gives pi at A1, 2pi/3 at A2, pi/2 at B2 and
+pi/3 at G2. I2(m) has no rational realization; its orbit of omega_i is a
+regular m-gon, so it gives 2pi/m.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ from .diagram import AutGroup, CoxeterDiagram
 from .errors import (
     InvalidEntry,
     InvalidTitsDiagram,
-    NonCrystallographic,
     NontrivialGamma,
     UnknownNode,
     ZeroRelativeRank,
@@ -167,14 +166,15 @@ def _opposed(d: CoxeterDiagram, piece: Iterable[int], orbit) -> frozenset[int]:
     holds when the image is the orbit itself.
 
     sigma is read at the orbit's labels only, each from the type of the
-    component that holds it. A set meets a component's labels in the
-    smaller of the two sizes, so this costs O(|orbit|) on a one-component
-    piece and stays linear in the piece when the orbit spans many
-    components.
+    component that holds it, and in orbit order, so the image set is built
+    (and printed) the same way whichever components the orbit spans. A set
+    meets a component's labels in the smaller of the two sizes, so this
+    costs O(|orbit|) on a one-component piece and stays linear in the
+    piece when the orbit spans many components.
     """
     labels = set(orbit)
-    return frozenset(ct.opposite(i) for ct in diag._classify_induced(d, piece)
-                     for i in labels & ct.position_of.keys())
+    owner = {i: ct for ct in diag.classify(d, piece) for i in labels & ct.position_of.keys()}
+    return frozenset(owner[i].opposite(i) for i in orbit)
 
 
 def ensure_valid(t: TitsDiagram) -> None:
@@ -211,29 +211,10 @@ def angular_distance(d: CoxeterDiagram, i: int) -> Angle:
 
     Reduces to the connected component of i. A crystallographic component
     of any rank gives arccos(1 - 1/(A^-1)_pp) at the canonical position p
-    of i (see _type_angle), I2(m) gives 2pi/m, and H3 and H4 are refused.
+    of i, I2(m) gives 2pi/m, and H3 and H4 are refused: the angle is a fact
+    of the component's type (diagram.ComponentType.angle).
     """
-    return _type_angle(diag.component_type(d, i), i)
-
-
-def _type_angle(ct: diag.ComponentType, i: int) -> Angle:
-    """angular_distance at node i of a component of type ct.
-
-    On a crystallographic type the nearest other vertex of the orbit of
-    omega_p is s_p omega_p (Humphreys, Reflection Groups and Coxeter
-    Groups, 1.12), so cos = 1 - (alpha_p, alpha_p) / (2 (omega_p, omega_p))
-    and, as (omega_p, omega_p) = (A^-1)_pp (alpha_p, alpha_p) / 2, the
-    cosine is 1 - 1/(A^-1)_pp (ComponentType.diagonal). This holds at every
-    rank, 1 and 2 included: A1 gives cos -1, A2 -1/2, B2 0 and G2 1/2,
-    which Angle keeps as pi, 2pi/3, pi/2 and pi/3.
-    """
-    if ct.family == "I2":
-        return Angle.rational_pi(2, ct.m)
-    if not ct.crystallographic:
-        raise NonCrystallographic(
-            f"no rational realization for a component of type {ct.name}"
-        )
-    return Angle.exact_cos(1 - 1 / ct.diagonal(i))
+    return diag.component_type(d, i).angle(i)
 
 
 def minimal_angle_report(t: TitsDiagram) -> tuple[Angle, list[tuple[int, ...]]]:
@@ -246,19 +227,12 @@ def minimal_angle_report(t: TitsDiagram) -> tuple[Angle, list[tuple[int, ...]]]:
     """
     folding, folded_a = fold_tits(t)
     folded = folding.folded
-    angles = {o: _connected_angle(folded, _rank_one_piece(folded, folded_a, o[:1]), o[0])
+    angles = {o: diag.classify(folded, _rank_one_piece(folded, folded_a, o[:1]))[0].angle(o[0])
               for o in t.gamma._orbits if o[0] not in folded_a}
     if not angles:
         raise ZeroRelativeRank("every node is anisotropic; the minimal angle is undefined")
     best = min(angles.values())
     return best, [o for o, angle in angles.items() if angle == best]
-
-
-def _connected_angle(d: CoxeterDiagram, nodes: Iterable[int], v: int) -> Angle:
-    """angular_distance at v on the subdiagram of d induced on nodes, which
-    is connected, classified in place."""
-    (ct,) = diag._classify_induced(d, nodes)
-    return _type_angle(ct, v)
 
 
 def minimal_angle(t: TitsDiagram) -> Angle:
@@ -308,7 +282,7 @@ def enumerate_indices(
     folded = _fold(d, g).folded
     results = []
     for in_a, closed in sorted(kernels, key=lambda row: (len(row[0]), row[0])):
-        angle = min(_connected_angle(folded, piece, node) for node, piece in closed)
+        angle = min(diag.classify(folded, piece)[0].angle(node) for node, piece in closed)
         # from a set, which CPython copies into a table sized once; one built
         # from a generator grows by steps and can hold twice the table
         kernel = frozenset({i for p in in_a for i in orbits[p]})

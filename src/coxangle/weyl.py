@@ -7,9 +7,9 @@ orbit_size, which the `orbit` command calls, is the index |W|/|W_J| of the
 fundamental weight's stabilizer, read off the degrees of the node's
 component and of the rest of it. It reads the component from the
 diagram's one classification, so an orbit request classifies only the
-whole diagram and the stabilizer's nodes. Longest elements, element
-orders and orbit enumeration serve the test oracles (the fold's w_J
-generators among them).
+whole diagram and the stabilizer's nodes (diagram.classify(d, J)).
+Longest elements, element orders and orbit enumeration serve the test
+oracles (the fold's w_J generators among them).
 
 weyl_orbit enumerates W*v by one walk (_walk) in fundamental-weight
 coordinates with integer Cartan entries: it starts from the dominant
@@ -220,15 +220,16 @@ def orbit_size(d: CoxeterDiagram, node: int, budget: Optional[int] = None) -> in
     d's one classification (diagram.component_type); its type gives its
     nodes and |W|. The stabilizer of omega_node is the parabolic W_J on
     the rest J of the component (Humphreys, Reflection Groups and Coxeter
-    Groups, 1.12), classified in place, and both orders are read off the
-    degrees. An orbit larger than the budget raises the OrbitBudgetExceeded
-    that weyl_orbit's walk would raise on it, so a budget of n admits an
-    orbit of n weights and refuses it at n - 1.
+    Groups, 1.12), classified in place (diagram.classify), and both
+    orders are read off the degrees. An orbit larger than the budget
+    raises the OrbitBudgetExceeded that weyl_orbit's walk would raise on
+    it, so a budget of n admits an orbit of n weights and refuses it at
+    n - 1.
     """
     ct = diag.component_type(d, node)
     geom._crystallographic((ct,))
     budget = orbit_budget() if budget is None else budget
-    rest = diag._classify_induced(d, [label for label, _ in ct.canonical if label != node])
+    rest = diag.classify(d, [label for label, _ in ct.canonical if label != node])
     size = _order((ct,)) // _order(rest)
     if size > max(budget, 1):
         raise _budget_exceeded(budget)

@@ -440,6 +440,15 @@ class TestErrorPaths:
         code, _, err = invoke("angle", "--diagram", "E9", "--node", "1")
         assert code == EXIT_DOMAIN
 
+    @pytest.mark.parametrize("name", ["A99999999999999999999", "A1+A99999999999999999999"])
+    def test_rank_above_maxsize_json_envelope(self, invoke, name):
+        # refused before any list of that many nodes is built
+        code, out, err = invoke("angle", "--diagram", name, "--node", "1", "--format", "json")
+        assert code == EXIT_DOMAIN and out == ""
+        doc = json.loads(err)
+        assert doc["error"]["code"] == "RankOutOfRange"
+        assert doc["error"]["message"] == f"A_n needs n <= {sys.maxsize}"
+
     def test_invalid_tits_via_min_angle(self, invoke, tmp_path):
         path = write(tmp_path, BAD_OPPOSITION_SPEC)
         code, _, err = invoke("min-angle", path)
@@ -947,6 +956,49 @@ class TestDerivedOncePerRequest:
         with pytest.raises(NotAnAutomorphism):
             fold(d, g)
         assert derivations["partition"] == 0
+
+
+class TestClassifySeesEveryPiece:
+    """Every node set a request classifies goes through diagram.classify,
+    the rank-one pieces included, so a wrapper on that one function (the
+    benchmark's tracer puts one there) counts them all."""
+
+    @pytest.fixture
+    def classified(self, monkeypatch):
+        """The (rank of the diagram, node set) of each classify call; the
+        node set is None for a whole diagram."""
+        calls = []
+        classify = diag.classify
+
+        def recording(d, nodes=None):
+            nodes = None if nodes is None else frozenset(nodes)
+            calls.append((d.rank, nodes))
+            return classify(d, nodes)
+
+        monkeypatch.setattr(diag, "classify", recording)
+        return calls
+
+    def test_min_angle_classifies_each_rank_one_piece(self, invoke, classified, tmp_path):
+        code, _, _ = invoke("min-angle", write(tmp_path, E6_FLIP_SPEC), "--format", "json")
+        assert code == EXIT_OK
+        # validate's pieces of the isotropic orbits {1, 6} and {3, 5} of E6,
+        # and the fold's pieces of its isotropic nodes 1 and 3 with A = {2, 4}
+        pieces = {(6, frozenset({1, 6})), (6, frozenset({2, 3, 4, 5})),
+                  (4, frozenset({1})), (4, frozenset({2, 3, 4}))}
+        assert pieces <= set(classified), classified
+
+    def test_enumerate_classifies_each_rank_one_piece(self, invoke, classified):
+        code, out, _ = invoke("enumerate", "--diagram", "D5", "--format", "json")
+        assert code == EXIT_OK
+        seen = {nodes for rank, nodes in classified if rank == 5}
+        entries = json.loads(out)["entries"]
+        assert entries
+        d = diag.builtin("D5")
+        for entry in entries:
+            aniso = set(entry["anisotropic"])
+            for v in set(d.nodes) - aniso:
+                piece = diag._reach([v], lambda i: aniso.intersection(d.neighbors(i)))
+                assert frozenset(piece) in seen, (entry["anisotropic"], v)
 
 
 @st.composite

@@ -11,8 +11,8 @@ import helpers
 from coxangle import weyl
 from coxangle.diagram import (
     AutGroup,
+    CoxeterDiagram,
     Permutation,
-    _classify_induced,
     _partition,
     builtin,
     check_automorphisms,
@@ -107,7 +107,8 @@ class TestBuiltin:
         with pytest.raises(UnknownType):
             builtin(name)
 
-    @pytest.mark.parametrize("name", ["A0", "B1", "D3", "E9", "F5", "G3", "H5", "I2(1)"])
+    @pytest.mark.parametrize("name", ["A0", "B1", "D3", "E9", "F5", "G3", "H5", "I2(1)",
+                                      "A99999999999999999999", "A1+A99999999999999999999"])
     def test_rank_out_of_range(self, name):
         with pytest.raises(RankOutOfRange):
             builtin(name)
@@ -258,21 +259,26 @@ def test_classify_induced_matches_restricted_copy(name):
     for k in range(d.rank + 1):
         for keep in itertools.combinations(d.nodes, k):
             sub = restrict(d, keep)
-            types = _classify_induced(d, keep)
+            types = classify(d, keep)
             assert types == classify(sub), keep
             sigma = Permutation.from_dict(
                 {i: ct.opposite(i) for ct in types for i, _ in ct.canonical})
             assert sigma == weyl.opposition(sub), keep
 
 
+def test_classify_induced_refuses_a_node_not_in_the_diagram():
+    with pytest.raises(UnknownNode):
+        classify(builtin("A3"), [2, 7])
+
+
 def test_classify_induced_reads_a_kept_node_set_without_a_walk(monkeypatch):
     # the second call on one connected node set partitions nothing
     d = builtin("E8")
-    first = _classify_induced(d, [2, 3, 4, 5, 6])
+    first = classify(d, [2, 3, 4, 5, 6])
     calls = []
     monkeypatch.setattr(diagram_mod, "_partition",
                         lambda *args: calls.append(args) or _partition(*args))
-    assert _classify_induced(d, [6, 5, 4, 3, 2]) == first
+    assert classify(d, [6, 5, 4, 3, 2]) == first
     assert calls == []
 
 
@@ -287,6 +293,12 @@ def _fresh_orbits(d, g):
     return _partition(d.nodes, lambda x: (p(x) for p in g.generators))
 
 
+def _fresh_types(d):
+    """d's types classified on all of its nodes, on a copy of d that keeps
+    no classification yet."""
+    return classify(CoxeterDiagram(d.nodes, d.edges), d.nodes)
+
+
 @pytest.mark.parametrize("name", INDUCED_CASES + ["relabelled A3+D4+A3"])
 def test_kept_derivations_match_fresh_ones(name):
     # the classification a diagram keeps, the lookups in it and a group's
@@ -295,7 +307,7 @@ def test_kept_derivations_match_fresh_ones(name):
         d = helpers.relabeled(builtin(name.split()[1]), random.Random(16))
     else:
         d = builtin(name)
-    assert classify(d) == _classify_induced(d)
+    assert classify(d) == _fresh_types(d)
     for i in d.nodes:
         assert component_type(d, i) == classify(component_of(d, i))[0], i
     for gens in _generator_sets(d):
@@ -485,5 +497,5 @@ def test_components_orbits_and_group_closure(case):
         assert all({p(i) for i in orb} == set(orb) for p in g.generators)
         assert {e(orb[0]) for e in elements} == set(orb)
     assert orbs == _fresh_orbits(d, g)
-    assert classify(d) == _classify_induced(d)
+    assert classify(d) == _fresh_types(d)
     assert all(component_type(d, i) == classify(component_of(d, i))[0] for i in d.nodes)

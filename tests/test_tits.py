@@ -128,6 +128,15 @@ class TestValidate:
         assert (1,) not in clauses  # isolated node survives
         assert (2,) in clauses  # {2}: restrict to A_5 sans 1, opposition moves it
 
+    def test_opposition_message_reads_sigma_in_orbit_order(self):
+        # the piece of the orbit {3, 5} is A2 on {1, 5} plus A2 on {3, 9}, so
+        # sigma maps 3 to 9 and 5 to 1; the image is printed as the set built
+        # at 3, then at 5, whichever component comes first
+        d = new_diagram([1, 3, 5, 9], [(1, 5, 3), (3, 9, 3)])
+        g = helpers.gen_group(d, [(3, 5), (1, 9)])
+        t = TitsDiagram(d, g, frozenset({1, 9}))
+        assert validate(t).violations == helpers.whole_set_violations(t)
+
     def test_reads_sigma_at_the_orbit_only(self, monkeypatch):
         # E8 with A = {2, ..., 7}: the pieces of the orbits {1} and {8}
         # have seven nodes each, and sigma is read at 1 and at 8 alone
@@ -342,15 +351,15 @@ class TestMinimalAngle:
         # each isotropic node 2k of A41 with the odd nodes anisotropic has
         # the piece {2k-1, 2k, 2k+1}; the whole A u O has 22 nodes
         classified = []
-        classify_induced = diagram_mod._classify_induced
+        classify = diagram_mod.classify
 
-        def recording(d, keep=None):
-            keep = None if keep is None else set(keep)
-            classified.append(keep)
-            return classify_induced(d, keep)
+        def recording(d, nodes=None):
+            nodes = None if nodes is None else set(nodes)
+            classified.append(nodes)
+            return classify(d, nodes)
 
         t = tits_diagram(builtin("A41"), anisotropic=range(1, 42, 2))
-        monkeypatch.setattr(diagram_mod, "_classify_induced", recording)
+        monkeypatch.setattr(diagram_mod, "classify", recording)
         assert validate(t).ok
         assert minimal_angle_report(t) == (PI_OVER_2, [(i,) for i in range(2, 41, 2)])
         # 20 orbits, each once in validate, once in the report's own
